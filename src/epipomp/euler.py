@@ -10,6 +10,15 @@ Two surfaces are provided: a named :class:`RateMatrix` interface for
 assembling small models edge by edge, and vectorized array kernels used by
 the built-in models' inner loops. The named interface delegates to the same
 kernels, so there is a single sampling code path.
+
+The array kernels broadcast: per-destination rates need only be shaped to
+broadcast against the compartment counts over the leading axes, so rates
+shared by all particles, e.g. (U, K) or (1, U, K) against counts (J, U), are
+never copied J times. Stacking several compartments along a trailing axis
+with their rates along the axis before the destinations, e.g. counts
+(J, U, C) with rates (..., C, K), draws them all in one call. The checks on
+each call (finite nonnegative rates, nonnegative counts, positive step,
+nonnegative noise variance) are each a single reduction.
 """
 
 from __future__ import annotations
@@ -34,21 +43,22 @@ def gamma_increment(delta, sigma2, rng: np.random.Generator, size=None):
     """
     delta = np.asarray(delta, dtype=float)
     sigma2 = np.asarray(sigma2, dtype=float)
-    if np.any(delta <= 0.0):
+    if delta.size and delta.min() <= 0.0:
         raise ValidationError(f"time step must be positive, got {delta}")
-    if np.any(sigma2 < 0.0):
+    s2_min = sigma2.min() if sigma2.size else 0.0
+    if s2_min < 0.0:
         raise ValidationError(f"noise variance must be nonnegative, got {sigma2}")
     if sigma2.ndim == 0 and sigma2 == 0.0:
         if size is None:
             return delta if delta.ndim else float(delta)
         return np.full(size, float(delta))
-    if sigma2.ndim == 0:
+    if sigma2.ndim == 0 or s2_min > 0.0:
         # mean-variance parameterization: shape = delta/sigma2, scale = sigma2
         return rng.gamma(delta / sigma2, sigma2, size=size)
     shape = np.broadcast_shapes(delta.shape, sigma2.shape) if size is None else size
     s2 = np.broadcast_to(sigma2, shape)
     d = np.broadcast_to(delta, shape)
-    out = np.broadcast_to(d, shape).astype(float).copy()
+    out = d.astype(float)
     pos = s2 > 0.0
     if np.any(pos):
         out[pos] = rng.gamma(d[pos] / s2[pos], s2[pos])
@@ -73,13 +83,13 @@ def exit_probabilities(rates: np.ndarray, delta: float) -> np.ndarray:
     stay probability. An all-zero rate row yields all-zero probabilities.
     """
     rates = np.asarray(rates, dtype=float)
-    if np.any(rates < 0.0) or not np.all(np.isfinite(rates)):
+    # min is NaN if any rate is NaN, so one comparison rejects NaN and -inf
+    if rates.size and not (rates.min() >= 0.0 and rates.max() < np.inf):
         raise ValidationError("transition rates must be finite and nonnegative")
-    total = rates.sum(axis=-1)
+    total = rates.sum(axis=-1)[..., None]
     p_exit = -np.expm1(-total * delta)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(total[..., None] > 0.0, rates / np.where(total == 0.0, 1.0, total)[..., None], 0.0)
-    return p_exit[..., None] * frac
+    frac = np.divide(rates, total, out=np.zeros_like(rates), where=total > 0.0)
+    return p_exit * frac
 
 
 def multinomial_flows(counts: np.ndarray, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -88,16 +98,23 @@ def multinomial_flows(counts: np.ndarray, probs: np.ndarray, rng: np.random.Gene
     Sequential conditional-binomial decomposition: destination k receives
     Binomial(remaining, p_k / remaining probability) draws, so the result is
     exactly multinomial and every individual is allocated at most once.
+
+    ``probs`` (..., K) broadcasts against ``counts`` over the leading axes, so
+    rates shared by all particles can be passed once, e.g. probabilities
+    shaped (U, K) or (1, U, K) against counts (J, U); the flows then have
+    shape ``broadcast(counts, probs[..., 0]) + (K,)``. The draws are those of
+    the explicitly broadcast call, in the same order.
     """
     counts = np.asarray(counts)
     probs = np.asarray(probs, dtype=float)
-    remaining = counts.astype(np.int64, copy=True)
-    rem_p = np.ones(probs.shape[:-1])
-    flows = np.zeros(probs.shape, dtype=np.int64)
+    batch = probs.shape[:-1]
+    shape = np.broadcast_shapes(counts.shape, batch)
+    remaining = np.broadcast_to(counts, shape).astype(np.int64)
+    rem_p = np.ones(batch)
+    flows = np.empty(shape + probs.shape[-1:], dtype=np.int64)
     for k in range(probs.shape[-1]):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pk = np.where(rem_p > 1e-14, probs[..., k] / np.where(rem_p <= 0, 1.0, rem_p), 0.0)
-        pk = np.clip(pk, 0.0, 1.0)
+        pk = np.divide(probs[..., k], rem_p, out=np.zeros(batch), where=rem_p > 1e-14)
+        np.minimum(pk, 1.0, out=pk)
         f = rng.binomial(remaining, pk)
         flows[..., k] = f
         remaining -= f
@@ -109,11 +126,12 @@ def euler_multinomial(counts, rates, delta: float, rng: np.random.Generator) -> 
     """Draw competing-hazard flows out of one compartment over one step.
 
     ``counts`` (...,) nonnegative integers, ``rates`` (..., K) per-capita
-    rates toward K destinations. Returns integer flows of shape (..., K);
-    the stayers are ``counts - flows.sum(-1)``.
+    rates toward K destinations, broadcast against ``counts`` as in
+    :func:`multinomial_flows`. Returns integer flows of shape (..., K); the
+    stayers are ``counts - flows.sum(-1)``.
     """
     counts = np.asarray(counts)
-    if np.any(counts < 0):
+    if counts.size and counts.min() < 0:
         raise ValidationError("compartment counts must be nonnegative")
     return multinomial_flows(counts, exit_probabilities(rates, delta), rng)
 

@@ -129,14 +129,22 @@ def build_model3(
     iR = np.arange(Z + 3, Z + 6)
     iW, iCI, iTI = Z + 6, Z + 7, Z + 8
 
+    protection_at: dict[float, np.ndarray] = {}
+
     def protections(t: float) -> np.ndarray:
-        """theta_uz(t) for cohorts z >= 1, shape (U, Z)."""
-        if Z == 0:
-            return np.zeros((U, 0))
-        weeks_since = (t - schedule.cohort_start) / WEEK  # (U, Z)
-        out = np.empty((U, Z))
-        for z in range(Z):
-            out[:, z] = AGE_CORRECTION * curve.protection(weeks_since[:, z], dose_type[z])
+        """theta_uz(t) for cohorts z >= 1, shape (U, Z), read-only.
+
+        Depends on t alone, so it is computed once per substep time and
+        shared by every particle, pass and iteration that steps through t.
+        """
+        out = protection_at.get(t)
+        if out is None:
+            weeks_since = (t - schedule.cohort_start) / WEEK  # (U, Z)
+            out = np.empty((U, Z))
+            for z in range(Z):
+                out[:, z] = AGE_CORRECTION * curve.protection(weeks_since[:, z], dose_type[z])
+            out.flags.writeable = False
+            protection_at[t] = out
         return out
 
     def rinit(theta, J, rng):
@@ -250,11 +258,13 @@ def build_model3(
             new_sympt += sz[:, :, :, 0].sum(axis=-1)
             new_asympt += sz[:, :, :, 1].sum(axis=-1)
 
-        fi = euler_multinomial(I, np.stack([bx(mu_ir), bx(death + death_c)], axis=-1), dt, rng)
-        fa = euler_multinomial(A, np.stack([bx(mu_ir), bx(death)], axis=-1), dt, rng)
-        r1 = euler_multinomial(R[:, :, 0], np.stack([bx(mu_rs3), bx(death)], axis=-1), dt, rng)
-        r2 = euler_multinomial(R[:, :, 1], np.stack([bx(mu_rs3), bx(death)], axis=-1), dt, rng)
-        r3 = euler_multinomial(R[:, :, 2], np.stack([bx(death + mu_rs3)], axis=-1), dt, rng)
+        # rates shared by all particles stay unbroadcast; the kernel broadcasts them
+        rates = lambda *r: np.stack(np.broadcast_arrays(*r), axis=-1)
+        fi = euler_multinomial(I, rates(mu_ir, death + death_c), dt, rng)
+        fa = euler_multinomial(A, rates(mu_ir, death), dt, rng)
+        r1 = euler_multinomial(R[:, :, 0], rates(mu_rs3, death), dt, rng)
+        r2 = euler_multinomial(R[:, :, 1], rates(mu_rs3, death), dt, rng)
+        r3 = euler_multinomial(R[:, :, 2], rates(death + mu_rs3), dt, rng)
 
         newI -= fi.sum(axis=-1)
         newA -= fa.sum(axis=-1)

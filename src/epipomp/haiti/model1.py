@@ -129,14 +129,22 @@ def build_model1(
     dose_type = schedule.dose_type.astype(int)
     tau = schedule.cohort_start[0] if Z else np.zeros(0)
 
+    fraction_at: dict[float, np.ndarray] = {}
+
     def symptomatic_fractions(t: float) -> np.ndarray:
-        """f_z(t) for z = 1..Z: the age-corrected protection since tau_z."""
-        if Z == 0:
-            return np.zeros(0)
-        weeks_since = (t - tau) / WEEK
-        out = np.empty(Z)
-        for z in range(Z):
-            out[z] = AGE_CORRECTION * curve.protection(weeks_since[z], dose_type[z])
+        """f_z(t) for z = 1..Z: the age-corrected protection since tau_z.
+
+        Read-only, and computed once per substep time like model3's
+        protections: it depends on t alone.
+        """
+        out = fraction_at.get(t)
+        if out is None:
+            weeks_since = (t - tau) / WEEK
+            out = np.empty(Z)
+            for z in range(Z):
+                out[z] = AGE_CORRECTION * curve.protection(weeks_since[z], dose_type[z])
+            out.flags.writeable = False
+            fraction_at[t] = out
         return out
 
     def phase_value(theta, t: float, epi: str, end: str):
@@ -190,14 +198,20 @@ def build_model1(
         newI = I.copy()
         newA = A.copy()
         newR = R.copy()
-        one = np.ones(J)
+        # S, I, A and R leave toward (next compartment, each cohort, death);
+        # E, toward (I, A, each cohort, death), is drawn on its own
+        onward = np.stack(np.broadcast_arrays(lam, mu_ir, mu_ir, mu_rs), axis=-1)  # (J, 4)
+        dth = np.asarray(death, dtype=float).reshape(-1, 1)  # (1, 1) or (J, 1)
 
-        # transitions out of cohort 0 (progression, vaccination, death)
-        s0 = euler_multinomial(S[:, 0], np.column_stack([lam, eta, death * one]), dt, rng)
+        # cohort 0: one draw for S, I, A and R, counts (J, 4), rates (J, 4, 2 + Z)
+        rates0 = np.empty((J, 4, 2 + Z))
+        rates0[:, :, 0] = onward
+        rates0[:, :, 1 : 1 + Z] = eta[:, None, :]
+        rates0[:, :, 1 + Z] = dth
+        flows0 = euler_multinomial(np.stack([S[:, 0], I[:, 0], A[:, 0], R[:, 0]], axis=-1), rates0, dt, rng)
+        s0, i0, a0, r0 = (flows0[:, c] for c in range(4))
+        one = np.ones(J)
         e0 = euler_multinomial(E[:, 0], np.column_stack([mu_ei * one, np.zeros(J), eta, death * one]), dt, rng)
-        i0 = euler_multinomial(I[:, 0], np.column_stack([mu_ir * one, eta, death * one]), dt, rng)
-        a0 = euler_multinomial(A[:, 0], np.column_stack([mu_ir * one, eta, death * one]), dt, rng)
-        r0 = euler_multinomial(R[:, 0], np.column_stack([mu_rs * one, eta, death * one]), dt, rng)
         newS[:, 0] += -s0.sum(axis=1) + r0[:, 0]
         newE[:, 0] += s0[:, 0] - e0.sum(axis=1)
         newI[:, 0] += e0[:, 0] - i0.sum(axis=1)
@@ -212,21 +226,19 @@ def build_model1(
         new_sympt = e0[:, 0].astype(float)
 
         if Z:
-            # vaccinated cohorts progress within-cohort; f_z splits E exits
-            lamZ = np.broadcast_to(lam[:, None], (J, Z))
-            dthZ = np.broadcast_to(np.asarray(death, dtype=float)[..., None] if np.ndim(death) else death, (J, Z))
-            sz = euler_multinomial(S[:, 1:], np.stack([lamZ, dthZ], axis=-1), dt, rng)
-            muei_z = np.broadcast_to(np.asarray(mu_ei, dtype=float)[..., None] if np.ndim(mu_ei) else mu_ei, (J, Z))
+            # vaccinated cohorts progress within-cohort; f_z splits E exits.
+            # One draw for S, I, A and R: counts (J, 4, Z), rates (J, 4, Z, 2)
+            ratesZ = np.empty((J, 4, Z, 2))
+            ratesZ[..., 0] = onward[:, :, None]
+            ratesZ[..., 1] = dth[:, :, None]
+            flowsZ = euler_multinomial(np.stack([S[:, 1:], I[:, 1:], A[:, 1:], R[:, 1:]], axis=1), ratesZ, dt, rng)
+            sz, iz, az, rz = (flowsZ[:, c] for c in range(4))
+            muei = np.asarray(mu_ei, dtype=float).reshape(-1, 1)
             ez = euler_multinomial(
                 E[:, 1:],
-                np.stack([muei_z * (1.0 - fz), muei_z * fz, dthZ], axis=-1),
+                np.stack(np.broadcast_arrays(muei * (1.0 - fz), muei * fz, dth), axis=-1),
                 dt, rng,
             )
-            muir_z = np.broadcast_to(np.asarray(mu_ir, dtype=float)[..., None] if np.ndim(mu_ir) else mu_ir, (J, Z))
-            murs_z = np.broadcast_to(np.asarray(mu_rs, dtype=float)[..., None] if np.ndim(mu_rs) else mu_rs, (J, Z))
-            iz = euler_multinomial(I[:, 1:], np.stack([muir_z, dthZ], axis=-1), dt, rng)
-            az = euler_multinomial(A[:, 1:], np.stack([muir_z, dthZ], axis=-1), dt, rng)
-            rz = euler_multinomial(R[:, 1:], np.stack([murs_z, dthZ], axis=-1), dt, rng)
             newS[:, 1:] += -sz.sum(axis=-1) + rz[:, :, 0]
             newE[:, 1:] += sz[:, :, 0] - ez.sum(axis=-1)
             newI[:, 1:] += ez[:, :, 0] - iz.sum(axis=-1)

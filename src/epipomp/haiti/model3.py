@@ -182,10 +182,10 @@ def build_model3(
     def step(X, t, dt, theta, covs, rng):
         J = X.shape[0]
         Y = X.reshape(J, U, V)
-        S = Y[:, :, : Z + 1].astype(np.int64)
-        I = Y[:, :, iI].astype(np.int64)
-        A = Y[:, :, iA].astype(np.int64)
-        R = Y[:, :, iR[0] : iR[0] + 3].astype(np.int64)
+        P = Y[:, :, :iW].astype(np.int64)  # persons: S0..SZ, I, A, R1..R3
+        S = P[:, :, : Z + 1]
+        I = P[:, :, iI]
+        A = P[:, :, iA]
         W = Y[:, :, iW]
 
         if covs is None or covs.rainfall is None:
@@ -205,74 +205,63 @@ def build_model3(
             unit_param(theta, "epsilon"),
         )  # (J, U)
         sigma2 = weekly_variance(np.asarray(unit_param(theta, "sigma_proc"), dtype=float) ** 2)
-        noise = gamma_increment(np.full((J, U), dt), np.broadcast_to(sigma2, (J, U)), rng) / dt
+        noise = gamma_increment(dt, sigma2, rng, size=(J, U)) / dt
         lam_noisy = lam * noise
         f = unit_param(theta, "f")
         death = unit_param(theta, "delta")
         death_c = unit_param(theta, "delta_c")
         mu_ir = unit_param(theta, "mu_ir")
         mu_rs3 = 3.0 * unit_param(theta, "mu_rs")
+        # stacks rates along a new last axis without broadcasting shared ones to J
+        stack = lambda *r: np.stack(np.broadcast_arrays(*r), axis=-1)
 
-        bshape = (J, U)
-        bx = lambda v: np.broadcast_to(np.asarray(v, dtype=float), bshape)
-
-        newS = S.copy()
-        newI = I.copy()
-        newA = A.copy()
-        newR = R.copy()
+        new = P.copy()
 
         # unvaccinated susceptibles: infection split + vaccination dosing
+        rates0 = stack(f * lam_noisy, (1.0 - f) * lam_noisy)
         if Z:
             dosing = schedule.rates_at(t) * WEEKS_PER_YEAR  # (U, Z) persons/yr
             eta = dosing[None, :, :] / np.maximum(S[:, :, 0], 1)[:, :, None]  # (J, U, Z)
-            rates0 = np.concatenate(
-                [np.stack([bx(f) * lam_noisy, bx(1.0 - f) * lam_noisy], axis=-1), eta], axis=-1
-            )
-        else:
-            rates0 = np.stack([bx(f) * lam_noisy, bx(1.0 - f) * lam_noisy], axis=-1)
+            rates0 = np.concatenate([rates0, eta], axis=-1)
         s0 = euler_multinomial(S[:, :, 0], rates0, dt, rng)
-        newS[:, :, 0] -= s0.sum(axis=-1)
-        newI += s0[:, :, 0]
-        newA += s0[:, :, 1]
-        if Z:
-            newS[:, :, 1:] += s0[:, :, 2:]
+        new[:, :, 0] -= s0.sum(axis=-1)
+        new[:, :, iI] += s0[:, :, 0]
+        new[:, :, iA] += s0[:, :, 1]
+        new[:, :, 1 : Z + 1] += s0[:, :, 2:]
         new_sympt = s0[:, :, 0].astype(float)
         new_asympt = s0[:, :, 1].astype(float)
 
         if Z:
-            theta_uz = protections(t)  # (U, Z)
-            lamz = lam_noisy[:, :, None] * (1.0 - theta_uz[None, :, :])
-            ratesZ = np.stack(
-                [
-                    bx(f)[:, :, None] * lamz,
-                    bx(1.0 - f)[:, :, None] * lamz,
-                    np.broadcast_to(bx(death)[:, :, None], (J, U, Z)),
-                ],
-                axis=-1,
+            lamz = lam_noisy[:, :, None] * (1.0 - protections(t)[None, :, :])  # (J, U, Z)
+            fz = np.asarray(f, dtype=float)[..., None]
+            sz = euler_multinomial(
+                S[:, :, 1:], stack(fz * lamz, (1.0 - fz) * lamz, np.asarray(death, dtype=float)[..., None]), dt, rng
             )
-            sz = euler_multinomial(S[:, :, 1:], ratesZ, dt, rng)
-            newS[:, :, 1:] -= sz.sum(axis=-1)
-            newI += sz[:, :, :, 0].sum(axis=-1)
-            newA += sz[:, :, :, 1].sum(axis=-1)
-            newS[:, :, 0] += sz[:, :, :, 2].sum(axis=-1)  # deaths rebalanced as births
+            new[:, :, 1 : Z + 1] -= sz.sum(axis=-1)
+            new[:, :, iI] += sz[:, :, :, 0].sum(axis=-1)
+            new[:, :, iA] += sz[:, :, :, 1].sum(axis=-1)
+            new[:, :, 0] += sz[:, :, :, 2].sum(axis=-1)  # deaths rebalanced as births
             new_sympt += sz[:, :, :, 0].sum(axis=-1)
             new_asympt += sz[:, :, :, 1].sum(axis=-1)
 
-        # rates shared by all particles stay unbroadcast; the kernel broadcasts them
-        rates = lambda *r: np.stack(np.broadcast_arrays(*r), axis=-1)
-        fi = euler_multinomial(I, rates(mu_ir, death + death_c), dt, rng)
-        fa = euler_multinomial(A, rates(mu_ir, death), dt, rng)
-        r1 = euler_multinomial(R[:, :, 0], rates(mu_rs3, death), dt, rng)
-        r2 = euler_multinomial(R[:, :, 1], rates(mu_rs3, death), dt, rng)
-        r3 = euler_multinomial(R[:, :, 2], rates(death + mu_rs3), dt, rng)
-
-        newI -= fi.sum(axis=-1)
-        newA -= fa.sum(axis=-1)
-        newR[:, :, 0] += fi[:, :, 0] + fa[:, :, 0] - r1.sum(axis=-1)
-        newR[:, :, 1] += r1[:, :, 0] - r2.sum(axis=-1)
-        newR[:, :, 2] += r2[:, :, 0] - r3.sum(axis=-1)
+        # I, A, R1, R2 and R3 in one draw: counts (J, U, 5), rates (..., 5, 2)
+        # toward (next stage, death). R3's waning and its deaths both enter S0,
+        # so R3 carries one combined rate and a zero-rate second destination.
+        exits = stack(
+            mu_ir, death + death_c,
+            mu_ir, death,
+            mu_rs3, death,
+            mu_rs3, death,
+            death + mu_rs3, 0.0,
+        )
+        flows = euler_multinomial(P[:, :, iI:iW], exits.reshape(exits.shape[:-1] + (5, 2)), dt, rng)
+        onward = flows[:, :, :, 0]
+        new[:, :, iI:iW] -= flows.sum(axis=-1)
+        new[:, :, iR[0]] += onward[:, :, 0] + onward[:, :, 1]
+        new[:, :, iR[1]] += onward[:, :, 2]
+        new[:, :, iR[2]] += onward[:, :, 3]
         # balanced demography: every death is a birth into S_u0
-        newS[:, :, 0] += fi[:, :, 1] + fa[:, :, 1] + r1[:, :, 1] + r2[:, :, 1] + r3[:, :, 0]
+        new[:, :, 0] += flows[:, :, :, 1].sum(axis=-1) + onward[:, :, 4]
 
         # water: exact decay with constant shedding over the substep
         a_rain = unit_param(theta, "a_rain")
@@ -286,10 +275,7 @@ def build_model3(
         newW = W * decay + shed * (1.0 - decay) / dw
 
         out = Y.copy()
-        out[:, :, : Z + 1] = newS
-        out[:, :, iI] = newI
-        out[:, :, iA] = newA
-        out[:, :, iR[0] : iR[0] + 3] = newR
+        out[:, :, :iW] = new
         out[:, :, iW] = newW
         out[:, :, iCI] = Y[:, :, iCI] + new_sympt
         out[:, :, iTI] = Y[:, :, iTI] + new_sympt + new_asympt

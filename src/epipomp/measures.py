@@ -9,23 +9,32 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import stats
+from scipy.special import gammaln, xlog1py
 
 from .errors import ValidationError
 
 
 def nb_logpmf(y, mean, size):
-    """Negative binomial log-pmf, vectorized, with the mean-0 degenerate case."""
+    """Negative binomial log-pmf, vectorized, with the mean-0 degenerate case.
+
+    Closed form in the (size, p = size / (size + mean)) parameterization:
+    ``lgamma(y + size) - lgamma(y + 1) - lgamma(size) + size log p +
+    y log(1 - p)``. A non-integer ``y`` has log-pmf -inf.
+    """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise ValidationError("observed counts must be nonnegative")
     mean = np.asarray(mean, dtype=float)
     size = np.asarray(size, dtype=float)
-    mean_b = np.broadcast_arrays(mean, y, size)[0]
-    p = size / (size + np.where(mean_b > 0, mean_b, 1.0))
-    out = stats.nbinom.logpmf(y, size, p)
-    degenerate = np.broadcast_to(mean_b <= 0, out.shape)
-    y_b = np.broadcast_to(y, out.shape)
-    return np.where(degenerate, np.where(y_b == 0, 0.0, -np.inf), out)
+    degenerate = mean <= 0
+    p = size / (size + np.where(degenerate, 1.0, mean))
+    out = gammaln(y + size) - gammaln(y + 1.0) - gammaln(size) + size * np.log(p) + xlog1py(y, -p)
+    fractional = y - np.floor(y) > 0
+    if np.any(fractional):
+        out = np.where(fractional, -np.inf, out)
+    if np.any(degenerate):
+        out = np.where(degenerate, np.where(y == 0, 0.0, -np.inf), out)
+    return out
 
 
 def nb_sample(mean, size, rng: np.random.Generator):

@@ -31,11 +31,6 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
-    """n independent Philox streams derived from one seed."""
-    return [np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 @dataclass(frozen=True, eq=False)
 class PompModel:
     """A partially observed Markov process model.

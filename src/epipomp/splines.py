@@ -32,10 +32,29 @@ def periodic_bspline_basis(t, n_basis: int = 6, period: float = 1.0) -> np.ndarr
     wrapped modulo the period. The basis sums to exactly 1 at every t.
     """
     t = np.asarray(t, dtype=float)
+    if t.ndim == 0 and n_basis >= 4:
+        return _basis_at(float(t), n_basis, period)
     phase = np.mod(t / period, 1.0) * n_basis
     out = np.empty(t.shape + (n_basis,))
     for j in range(n_basis):
         # wrapped offset of t from knot j, in knot units
         x = np.mod(phase - j, n_basis)
         out[..., j] = cardinal_cubic(x)
+    return out
+
+
+def _basis_at(t: float, n_basis: int, period: float) -> np.ndarray:
+    """The basis at one time, from the four cubic pieces that are nonzero there.
+
+    With ``i + u`` the phase in knot units (0 <= u < 1), basis ``i - m`` sits
+    at offset ``u + m`` of its cardinal cubic, for m = 0..3.
+    """
+    phase = (t / period) % 1.0 * n_basis
+    i = int(phase)
+    u = phase - i
+    out = np.zeros(n_basis)
+    out[i % n_basis] = u**3 / 6.0
+    out[(i - 1) % n_basis] = (((-3.0 * u + 3.0) * u + 3.0) * u + 1.0) / 6.0
+    out[(i - 2) % n_basis] = ((3.0 * u - 6.0) * u * u + 4.0) / 6.0
+    out[(i - 3) % n_basis] = (1.0 - u) ** 3 / 6.0
     return out

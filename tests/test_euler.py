@@ -5,6 +5,8 @@ hazards, Poisson inflows, balanced demography, and RK4."""
 import numpy as np
 import pytest
 from conftest import mc_se_mean, mc_se_variance, se_proportion
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epipomp.errors import ValidationError
 from epipomp.euler import (
@@ -88,6 +90,48 @@ class TestEulerMultinomial:
             euler_multinomial(np.array([10]), np.array([[-1.0]]), 0.1, rng)
         with pytest.raises(ValidationError):
             euler_multinomial(np.array([-1]), np.array([[1.0]]), 0.1, rng)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rate_rejected(self, rng, bad):
+        # the bad rate sits among valid ones, in a later row and column
+        rates = np.ones((3, 2))
+        rates[2, 1] = bad
+        with pytest.raises(ValidationError):
+            euler_multinomial(np.array([10, 10, 10]), rates, 0.1, rng)
+
+    def test_shared_rates_broadcast_bit_identically(self):
+        # rates (1, U, K) against counts (J, U) draw exactly what the rates
+        # explicitly broadcast to (J, U, K) draw, under one seed
+        J, U, K = 50, 10, 3
+        setup = np.random.Generator(np.random.Philox(5))
+        counts = setup.integers(0, 10_000, size=(J, U))
+        rates = setup.gamma(1.0, 20.0, size=(1, U, K))
+        shared = euler_multinomial(counts, rates, 1.0 / 365, np.random.Generator(np.random.Philox(9)))
+        full = euler_multinomial(
+            counts, np.broadcast_to(rates, (J, U, K)).copy(), 1.0 / 365, np.random.Generator(np.random.Philox(9))
+        )
+        assert shared.shape == (J, U, K)
+        np.testing.assert_array_equal(shared, full)
+        unbatched = euler_multinomial(counts, rates[0], 1.0 / 365, np.random.Generator(np.random.Philox(9)))
+        np.testing.assert_array_equal(unbatched, full)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+        rates=st.lists(st.floats(0.0, 1e4), min_size=2, max_size=5),
+        zero=st.integers(0, 4),
+        delta=st.floats(1e-4, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_zero_rate_destination_never_receives_flow(self, counts, rates, zero, delta, seed):
+        r = np.array(rates)
+        r[zero % r.size] = 0.0
+        flows = euler_multinomial(
+            np.array(counts), np.broadcast_to(r, (len(counts), r.size)), delta,
+            np.random.Generator(np.random.Philox(seed)),
+        )
+        assert np.all(flows[:, zero % r.size] == 0)
+        assert np.all(flows.sum(axis=-1) <= np.array(counts))
 
     def test_flow_conservation_fuzz(self, rng):
         # every step allocates each individual exactly once

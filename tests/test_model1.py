@@ -110,6 +110,18 @@ class TestMeasurement:
         ref = float(nb_logpmf_reference(8.0, 10.0, 5.0))
         assert mine == pytest.approx(ref, rel=1e-12)
 
+    def test_closed_form_matches_scipy_over_grid(self):
+        from scipy import stats
+
+        y = np.array([0.0, 1.0, 2.0, 7.0, 50.0, 999.0, 1e5, 2.5e5, 1e6])[:, None, None]
+        mean = np.array([1e-3, 0.3, 1.0, 9.5, 88.0, 1e3, 1e5, 3e6])[None, :, None]
+        size = np.array([0.01, 0.3, 0.999, 1.0, 2.5, 88.58, 1e3, 1e6])[None, None, :]
+        mine = nb_logpmf(y, mean, size)
+        ref = stats.nbinom.logpmf(y, size, size / (size + mean))
+        assert mine.shape == ref.shape == (9, 8, 8)
+        assert np.all(np.isfinite(ref))
+        np.testing.assert_allclose(mine, ref, rtol=1e-10, atol=0)
+
     def test_reporting_rate_scales_mean(self):
         m = build_model1(trend_window=(0.0, 2.0))
         theta = compile_theta(m, m.params)

@@ -7,6 +7,7 @@ import pytest
 from conftest import mc_se_mean
 
 from epipomp.errors import ValidationError
+from epipomp.forecast import forecast_from_filter
 from epipomp.grid import TimeGrid
 from epipomp.haiti.geography import synthetic_geography
 from epipomp.haiti.model3 import (
@@ -15,6 +16,7 @@ from epipomp.haiti.model3 import (
     model3_force_of_infection,
     person_counts,
 )
+from epipomp.haiti.scenarios import apply_vaccination_scenario, builtin_scenario
 from epipomp.measures import nb_logpmf
 from epipomp.model import compile_theta, make_rng, simulate
 from epipomp.series import CovariateTable, standardize_rainfall
@@ -197,6 +199,26 @@ class TestConservation:
         for n in range(res.states.shape[1]):
             counts = person_counts(m, res.states[:, n, :], geo.n_units)
             np.testing.assert_array_equal(counts, np.tile(np.round(geo.populations), (2, 1)))
+
+    def test_person_totals_constant_over_v4_forecast(self, geo):
+        # vaccinated cohorts (Z > 0) take the same fused flow kernel
+        rng = np.random.Generator(np.random.Philox(31))
+        rain = standardize_rainfall(rng.gamma(2.0, 25.0, size=(geo.n_units, 120)), geo.units)
+        covs = CovariateTable(times=np.arange(120) * WEEK, step=WEEK, rainfall=rain, units=geo.units)
+        origin = 4 * WEEK
+        sched = apply_vaccination_scenario(builtin_scenario("V4", geo), "model3", geo, origin=origin)
+        assert sched.n_cohorts > 0
+        m = build_model3(INIT_OBS, geo, schedule=sched)
+        start = m.rinit(compile_theta(m, m.params), 4, make_rng(3))
+        res = forecast_from_filter(
+            m, m.params, start, "V4", covs, origin, horizon_weeks=104, n_sims=4, seed=5, retain_states=True
+        )
+        pops = np.tile(np.round(geo.populations), (4, 1))
+        for h in range(104):
+            np.testing.assert_array_equal(person_counts(m, res.latent[:, h, :], geo.n_units), pops)
+        V = len(m.state_names) // geo.n_units
+        vaccinated = res.latent[:, -1, :].reshape(4, geo.n_units, V)[:, :, 1 : sched.n_cohorts + 1]
+        assert vaccinated.sum() > 0
 
     def test_hurricane_continuity_jump(self, geo, covs):
         # right-continuous at t_hm with jump exactly beta_hm * W/(1+W)

@@ -60,3 +60,26 @@ class TestPeriodicBasis:
         assert cardinal_cubic(np.array(-0.1)) == 0.0
         assert cardinal_cubic(np.array(4.1)) == 0.0
         assert cardinal_cubic(np.array(2.0)) == pytest.approx(2.0 / 3.0)
+
+
+class TestScalarClosedForm:
+    """A scalar t takes the closed form of the four nonzero cubic pieces; it
+    must agree with the array evaluation."""
+
+    def check(self, times, n_basis=6, period=1.0):
+        for t in times:
+            scalar = periodic_bspline_basis(float(t), n_basis, period)
+            array = periodic_bspline_basis(np.array([t]), n_basis, period)[0]
+            np.testing.assert_allclose(scalar, array, rtol=0, atol=1e-12)
+
+    def test_at_the_knots(self):
+        self.check(np.arange(13) / 6.0)
+        self.check(np.arange(9) * 0.25 * 2.0, n_basis=8, period=2.0)
+
+    def test_at_the_period_wrap(self):
+        self.check([1.0 - 1e-15, 1.0, 1.0 + 1e-15, -1e-17, 0.0, 1e-17, 2.0 - 1e-13, -3.0])
+
+    def test_at_random_times(self):
+        rng = np.random.Generator(np.random.Philox(21))
+        self.check(rng.uniform(-10.0, 10.0, size=500))
+        self.check(rng.uniform(0.0, 3.0, size=100), n_basis=5, period=0.75)

@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from ..errors import ValidationError
-from ..euler import euler_multinomial, gamma_increment
+from ..euler import euler_multinomial, gamma_increment, sum_last
 from ..measures import nb_logpmf, nb_sample
 from ..model import PompModel, unit_param
 from ..params import ParamDef, ParameterSet
@@ -196,7 +196,7 @@ def build_model3(
         t_hm = covs.hurricane_time
 
         lam = model3_force_of_infection(
-            W, I.astype(float), A.astype(float), t,
+            W, Y[:, :, iI], Y[:, :, iA], t,
             unit_param(theta, "beta_w"),
             unit_param(theta, "beta_hm"),
             unit_param(theta, "h_hm"),
@@ -224,7 +224,7 @@ def build_model3(
             eta = dosing[None, :, :] / np.maximum(S[:, :, 0], 1)[:, :, None]  # (J, U, Z)
             rates0 = np.concatenate([rates0, eta], axis=-1)
         s0 = euler_multinomial(S[:, :, 0], rates0, dt, rng)
-        new[:, :, 0] -= s0.sum(axis=-1)
+        new[:, :, 0] -= sum_last(s0)
         new[:, :, iI] += s0[:, :, 0]
         new[:, :, iA] += s0[:, :, 1]
         new[:, :, 1 : Z + 1] += s0[:, :, 2:]
@@ -237,12 +237,13 @@ def build_model3(
             sz = euler_multinomial(
                 S[:, :, 1:], stack(fz * lamz, (1.0 - fz) * lamz, np.asarray(death, dtype=float)[..., None]), dt, rng
             )
-            new[:, :, 1 : Z + 1] -= sz.sum(axis=-1)
-            new[:, :, iI] += sz[:, :, :, 0].sum(axis=-1)
-            new[:, :, iA] += sz[:, :, :, 1].sum(axis=-1)
-            new[:, :, 0] += sz[:, :, :, 2].sum(axis=-1)  # deaths rebalanced as births
-            new_sympt += sz[:, :, :, 0].sum(axis=-1)
-            new_asympt += sz[:, :, :, 1].sum(axis=-1)
+            new[:, :, 1 : Z + 1] -= sum_last(sz)
+            into = sum_last(sz.swapaxes(-1, -2))  # (J, U, 3): summed over cohorts
+            new[:, :, iI] += into[:, :, 0]
+            new[:, :, iA] += into[:, :, 1]
+            new[:, :, 0] += into[:, :, 2]  # deaths rebalanced as births
+            new_sympt += into[:, :, 0]
+            new_asympt += into[:, :, 1]
 
         # I, A, R1, R2 and R3 in one draw: counts (J, U, 5), rates (..., 5, 2)
         # toward (next stage, death). R3's waning and its deaths both enter S0,
@@ -256,12 +257,12 @@ def build_model3(
         )
         flows = euler_multinomial(P[:, :, iI:iW], exits.reshape(exits.shape[:-1] + (5, 2)), dt, rng)
         onward = flows[:, :, :, 0]
-        new[:, :, iI:iW] -= flows.sum(axis=-1)
+        new[:, :, iI:iW] -= sum_last(flows)
         new[:, :, iR[0]] += onward[:, :, 0] + onward[:, :, 1]
         new[:, :, iR[1]] += onward[:, :, 2]
         new[:, :, iR[2]] += onward[:, :, 3]
         # balanced demography: every death is a birth into S_u0
-        new[:, :, 0] += flows[:, :, :, 1].sum(axis=-1) + onward[:, :, 4]
+        new[:, :, 0] += sum_last(flows[:, :, :, 1]) + onward[:, :, 4]
 
         # water: exact decay with constant shedding over the substep
         a_rain = unit_param(theta, "a_rain")

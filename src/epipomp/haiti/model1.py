@@ -129,22 +129,14 @@ def build_model1(
     dose_type = schedule.dose_type.astype(int)
     tau = schedule.cohort_start[0] if Z else np.zeros(0)
 
-    fraction_at: dict[float, np.ndarray] = {}
-
     def symptomatic_fractions(t: float) -> np.ndarray:
-        """f_z(t) for z = 1..Z: the age-corrected protection since tau_z.
-
-        Read-only, and computed once per substep time like model3's
-        protections: it depends on t alone.
-        """
-        out = fraction_at.get(t)
-        if out is None:
-            weeks_since = (t - tau) / WEEK
-            out = np.empty(Z)
-            for z in range(Z):
-                out[z] = AGE_CORRECTION * curve.protection(weeks_since[z], dose_type[z])
-            out.flags.writeable = False
-            fraction_at[t] = out
+        """f_z(t) for z = 1..Z: the age-corrected protection since tau_z."""
+        if Z == 0:
+            return np.zeros(0)
+        weeks_since = (t - tau) / WEEK
+        out = np.empty(Z)
+        for z in range(Z):
+            out[z] = AGE_CORRECTION * curve.protection(weeks_since[z], dose_type[z])
         return out
 
     def phase_value(theta, t: float, epi: str, end: str):

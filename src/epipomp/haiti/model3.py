@@ -246,14 +246,13 @@ def build_model3(
             new_asympt += into[:, :, 1]
 
         # I, A, R1, R2 and R3 in one draw: counts (J, U, 5), rates (..., 5, 2)
-        # toward (next stage, death). R3's waning and its deaths both enter S0,
-        # so R3 carries one combined rate and a zero-rate second destination.
+        # toward (next stage, death); R3's next stage is S0
         exits = stack(
             mu_ir, death + death_c,
             mu_ir, death,
             mu_rs3, death,
             mu_rs3, death,
-            death + mu_rs3, 0.0,
+            mu_rs3, death,
         )
         flows = euler_multinomial(P[:, :, iI:iW], exits.reshape(exits.shape[:-1] + (5, 2)), dt, rng)
         onward = flows[:, :, :, 0]
@@ -261,7 +260,7 @@ def build_model3(
         new[:, :, iR[0]] += onward[:, :, 0] + onward[:, :, 1]
         new[:, :, iR[1]] += onward[:, :, 2]
         new[:, :, iR[2]] += onward[:, :, 3]
-        # balanced demography: every death is a birth into S_u0
+        # R3 wanes into S_u0; balanced demography: every death is a birth there
         new[:, :, 0] += sum_last(flows[:, :, :, 1]) + onward[:, :, 4]
 
         # water: exact decay with constant shedding over the substep

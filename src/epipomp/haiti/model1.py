@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from ..euler import euler_multinomial, gamma_increment, poisson_inflow, sum_last
+from ..euler import euler_multinomial, gamma_increment, poisson_inflow
 from ..measures import nb_logpmf, nb_sample
 from ..model import PompModel, scalar_param
 from ..params import ParamDef, ParameterSet
@@ -202,11 +202,11 @@ def build_model1(
         rates0[:, :, 1 + Z] = dth
         flows0 = euler_multinomial(np.stack([S[:, 0], I[:, 0], A[:, 0], R[:, 0]], axis=-1), rates0, dt, rng)
         s0, i0, a0, r0 = (flows0[:, c] for c in range(4))
-        out0 = sum_last(flows0)  # (J, 4): leaving S, I, A, R
+        out0 = flows0.sum(axis=-1)  # (J, 4): leaving S, I, A, R
         one = np.ones(J)
         e0 = euler_multinomial(E[:, 0], np.column_stack([mu_ei * one, np.zeros(J), eta, death * one]), dt, rng)
         newS[:, 0] += -out0[:, 0] + r0[:, 0]
-        newE[:, 0] += s0[:, 0] - sum_last(e0)
+        newE[:, 0] += s0[:, 0] - e0.sum(axis=-1)
         newI[:, 0] += e0[:, 0] - out0[:, 1]
         newA[:, 0] += e0[:, 1] - out0[:, 2]
         newR[:, 0] += i0[:, 0] + a0[:, 0] - out0[:, 3]
@@ -226,7 +226,7 @@ def build_model1(
             ratesZ[..., 1] = dth[:, :, None]
             flowsZ = euler_multinomial(np.stack([S[:, 1:], I[:, 1:], A[:, 1:], R[:, 1:]], axis=1), ratesZ, dt, rng)
             sz, iz, az, rz = (flowsZ[:, c] for c in range(4))
-            outZ = sum_last(flowsZ)  # (J, 4, Z)
+            outZ = flowsZ.sum(axis=-1)  # (J, 4, Z)
             muei = np.asarray(mu_ei, dtype=float).reshape(-1, 1)
             ez = euler_multinomial(
                 E[:, 1:],
@@ -234,7 +234,7 @@ def build_model1(
                 dt, rng,
             )
             newS[:, 1:] += -outZ[:, 0] + rz[:, :, 0]
-            newE[:, 1:] += sz[:, :, 0] - sum_last(ez)
+            newE[:, 1:] += sz[:, :, 0] - ez.sum(axis=-1)
             newI[:, 1:] += ez[:, :, 0] - outZ[:, 1]
             newA[:, 1:] += ez[:, :, 1] - outZ[:, 2]
             newR[:, 1:] += iz[:, :, 0] + az[:, :, 0] - outZ[:, 3]

@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from ..errors import ValidationError
-from ..euler import euler_multinomial, gamma_increment, sum_last
+from ..euler import euler_multinomial, gamma_increment
 from ..measures import nb_logpmf, nb_sample
 from ..model import PompModel, unit_param
 from ..params import ParamDef, ParameterSet
@@ -224,7 +224,7 @@ def build_model3(
             eta = dosing[None, :, :] / np.maximum(S[:, :, 0], 1)[:, :, None]  # (J, U, Z)
             rates0 = np.concatenate([rates0, eta], axis=-1)
         s0 = euler_multinomial(S[:, :, 0], rates0, dt, rng)
-        new[:, :, 0] -= sum_last(s0)
+        new[:, :, 0] -= s0.sum(axis=-1)
         new[:, :, iI] += s0[:, :, 0]
         new[:, :, iA] += s0[:, :, 1]
         new[:, :, 1 : Z + 1] += s0[:, :, 2:]
@@ -237,8 +237,8 @@ def build_model3(
             sz = euler_multinomial(
                 S[:, :, 1:], stack(fz * lamz, (1.0 - fz) * lamz, np.asarray(death, dtype=float)[..., None]), dt, rng
             )
-            new[:, :, 1 : Z + 1] -= sum_last(sz)
-            into = sum_last(sz.swapaxes(-1, -2))  # (J, U, 3): summed over cohorts
+            new[:, :, 1 : Z + 1] -= sz.sum(axis=-1)
+            into = sz.sum(axis=-2)  # (J, U, 3): summed over cohorts
             new[:, :, iI] += into[:, :, 0]
             new[:, :, iA] += into[:, :, 1]
             new[:, :, 0] += into[:, :, 2]  # deaths rebalanced as births
@@ -256,12 +256,12 @@ def build_model3(
         )
         flows = euler_multinomial(P[:, :, iI:iW], exits.reshape(exits.shape[:-1] + (5, 2)), dt, rng)
         onward = flows[:, :, :, 0]
-        new[:, :, iI:iW] -= sum_last(flows)
+        new[:, :, iI:iW] -= flows.sum(axis=-1)
         new[:, :, iR[0]] += onward[:, :, 0] + onward[:, :, 1]
         new[:, :, iR[1]] += onward[:, :, 2]
         new[:, :, iR[2]] += onward[:, :, 3]
         # R3 wanes into S_u0; balanced demography: every death is a birth there
-        new[:, :, 0] += sum_last(flows[:, :, :, 1]) + onward[:, :, 4]
+        new[:, :, 0] += flows[:, :, :, 1].sum(axis=-1) + onward[:, :, 4]
 
         # water: exact decay with constant shedding over the substep
         a_rain = unit_param(theta, "a_rain")

@@ -20,7 +20,6 @@ from epipomp.euler import (
     ode_step,
     poisson_inflow,
     rk4_step,
-    sum_last,
 )
 
 
@@ -161,15 +160,6 @@ class TestEulerMultinomial:
         p = 1.0 - np.exp(-mu * delta)
         binom_var = X * p * (1 - p)
         assert flows.var(ddof=1) - binom_var > 3 * mc_se_variance(flows)
-
-
-def test_sum_last_equals_numpy_sum():
-    rng = np.random.Generator(np.random.Philox(3))
-    for shape in [(7, 1), (4, 3, 2), (5, 2, 3, 5), (6,)]:
-        a = rng.integers(0, 10**6, size=shape)
-        np.testing.assert_array_equal(sum_last(a), a.sum(axis=-1))
-    b = rng.integers(0, 9, size=(3, 4, 2))
-    np.testing.assert_array_equal(sum_last(b.swapaxes(-1, -2)), b.sum(axis=-2))
 
 
 class TestPoissonInflow:

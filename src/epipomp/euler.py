@@ -6,10 +6,9 @@ transitions (via a conditional-binomial decomposition), Poisson demographic
 inflows, exactly population-conserving death/birth balancing, and a
 fixed-step fourth-order Runge-Kutta integrator for deterministic skeletons.
 
-Two surfaces are provided: a named :class:`RateMatrix` interface for
-assembling small models edge by edge, and vectorized array kernels used by
-the built-in models' inner loops. The named interface delegates to the same
-kernels, so there is a single sampling code path.
+Every model steps its compartments through these array kernels: one
+sampling code path, vectorized over particles and units, with no per-edge
+or per-name bookkeeping in the models' inner loops.
 
 The array kernels broadcast: per-destination rates need only be shaped to
 broadcast against the compartment counts over the leading axes, so rates
@@ -23,15 +22,11 @@ nonnegative noise variance) are each a single reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
-
-#: Destination label for flows leaving the system (deaths, emigration).
-SINK = "sink"
 
 
 def gamma_increment(delta, sigma2, rng: np.random.Generator, size=None):
@@ -161,81 +156,6 @@ def balanced_demography_step(
 
 
 # ---------------------------------------------------------------------------
-# Named-edge surface
-# ---------------------------------------------------------------------------
-
-Edge = tuple[str, float, float]  # (destination, per-capita rate, noise variance)
-
-
-@dataclass(frozen=True)
-class RateMatrix:
-    """Per-source transition edges plus absolute-rate inflows.
-
-    ``edges[src]`` lists (destination, per-capita rate, gamma-noise variance);
-    destination :data:`SINK` leaves the system. ``inflows`` lists
-    (destination, absolute rate) entry flows.
-    """
-
-    edges: Mapping[str, Sequence[Edge]]
-    inflows: Sequence[tuple[str, float]] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        for src, edge_list in self.edges.items():
-            for dest, mu, s2 in edge_list:
-                if not np.isfinite(mu) or mu < 0.0:
-                    raise ValidationError(f"rate {src}->{dest} must be finite and nonnegative, got {mu}")
-                if not np.isfinite(s2) or s2 < 0.0:
-                    raise ValidationError(f"noise variance on {src}->{dest} must be nonnegative, got {s2}")
-        for dest, rate in self.inflows:
-            if not np.isfinite(rate) or rate < 0.0:
-                raise ValidationError(f"inflow rate into {dest} must be finite and nonnegative, got {rate}")
-
-    def sorted_edges(self, src: str) -> list[Edge]:
-        # fixed alphabetical destination order for reproducible sampling
-        return sorted(self.edges.get(src, ()), key=lambda e: e[0])
-
-
-def euler_multinomial_step(
-    counts: Mapping[str, int],
-    rates: RateMatrix,
-    delta: float,
-    rng: np.random.Generator,
-) -> dict[tuple[str, str], int]:
-    """One Euler step of the named competing-hazard scheme.
-
-    Returns flow counts keyed (source, destination), including SINK exits and
-    inflow arrivals keyed (SINK, destination). Gamma noise is drawn per edge.
-    """
-    flows: dict[tuple[str, str], int] = {}
-    for src in sorted(rates.edges):
-        x = int(counts[src])
-        edge_list = rates.sorted_edges(src)
-        if not edge_list:
-            continue
-        mu = np.array([e[1] for e in edge_list])
-        noisy = np.array(
-            [gamma_increment(delta, e[2], rng) / delta if e[2] > 0.0 else 1.0 for e in edge_list]
-        )
-        drawn = euler_multinomial(np.array(x), mu * noisy, delta, rng)
-        for (dest, _, _), n in zip(edge_list, np.atleast_1d(drawn)):
-            flows[(src, dest)] = int(n)
-    for dest, rate in rates.inflows:
-        flows[(SINK, dest)] = int(poisson_inflow(rate, delta, rng))
-    return flows
-
-
-def apply_flows(counts: Mapping[str, int], flows: Mapping[tuple[str, str], int]) -> dict[str, int]:
-    """State update from a flow dictionary (conservation identity)."""
-    out = dict(counts)
-    for (src, dest), n in flows.items():
-        if src != SINK:
-            out[src] -= n
-        if dest != SINK:
-            out[dest] = out.get(dest, 0) + n
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Deterministic integration
 # ---------------------------------------------------------------------------
 
@@ -248,41 +168,3 @@ def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarr
     k4 = f(t + dt, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-
-def ode_step(
-    state: Mapping[str, float],
-    rate_fn: Callable[[float, Mapping[str, float]], RateMatrix],
-    t: float,
-    delta: float,
-) -> tuple[dict[str, float], float]:
-    """RK4 advance of the flow ODE system defined by a RateMatrix field.
-
-    Negative undershoots are clamped at zero; the total clamped magnitude is
-    returned alongside the new state so callers can surface a warning count.
-    """
-    names = sorted(state)
-    index = {n: i for i, n in enumerate(names)}
-    y0 = np.array([state[n] for n in names], dtype=float)
-
-    def deriv(tt: float, y: np.ndarray) -> np.ndarray:
-        s = {n: y[index[n]] for n in names}
-        rm = rate_fn(tt, s)
-        d = np.zeros_like(y)
-        for src, edge_list in rm.edges.items():
-            x = s[src]
-            for dest, mu, _ in edge_list:
-                flow = mu * x
-                d[index[src]] -= flow
-                if dest != SINK:
-                    d[index[dest]] += flow
-        for dest, rate in rm.inflows:
-            d[index[dest]] += rate
-        if not np.all(np.isfinite(d)):
-            bad = names[int(np.flatnonzero(~np.isfinite(d))[0])]
-            raise ValidationError(f"non-finite derivative for compartment {bad!r} at t={tt:.6g}")
-        return d
-
-    y1 = rk4_step(deriv, t, y0, delta)
-    clamp = float(np.sum(np.where(y1 < 0.0, -y1, 0.0)))
-    y1 = np.maximum(y1, 0.0)
-    return {n: float(y1[index[n]]) for n in names}, clamp

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import ValidationError
 from .filtering import sample_params_by_likelihood
@@ -213,9 +214,7 @@ def trajectory_projection(
     """
     if model.stochastic:
         raise ValidationError("trajectory projection requires a deterministic model")
-    from scipy.stats import norm
-
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = float(ndtri(0.5 + level / 2.0))
     times = origin + np.arange(1, horizon_weeks + 1) * week_duration
     grid = TimeGrid(t0=origin, obs_times=times, euler_step=euler_step or week_duration / 7.0)
     if model.needs_covariates and covs is not None:

@@ -162,8 +162,17 @@ def build_model3(
         A0 = np.round(I0 * (1.0 - f) / f)
         total = init_obs.sum(axis=1)[None, :]
         R_each = (total / (rho * f) - (I0 + A0)) / 3.0
-        if np.any(R_each < 0):
-            warnings.warn("model3 initialization clamped negative recovered counts at 0", stacklevel=2)
+        negative = R_each < 0
+        if np.any(negative):
+            # units started from i0 have no reports to balance: clamping
+            # them is structural, so only a reporting unit's clamp warns
+            reporting = np.any(negative, axis=0) & ~zero_mask
+            if np.any(reporting):
+                names = ", ".join(units[u] for u in np.flatnonzero(reporting))
+                warnings.warn(
+                    f"model3 initialization clamped negative recovered counts at 0 in {names}",
+                    stacklevel=2,
+                )
             R_each = np.maximum(R_each, 0.0)
         R_each = np.round(R_each)
         factor = 1.0 + unit_param(theta, "a_rain") * median_rainfall ** unit_param(theta, "r_rain")

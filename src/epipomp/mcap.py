@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtri
 
 from .errors import ValidationError
 
@@ -59,7 +59,7 @@ def mcap_cutoff(a: float, se_mc_sq: float, confidence: float) -> float:
     if a <= 0:
         raise ValidationError("profile has no curvature at the maximum (a <= 0)")
     se_stat_sq = 1.0 / (2.0 * a)
-    return float(stats.chi2.ppf(confidence, df=1) * a * (se_stat_sq + se_mc_sq))
+    return float(chdtri(1, 1.0 - confidence) * a * (se_stat_sq + se_mc_sq))
 
 
 @dataclass

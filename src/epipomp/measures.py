@@ -1,14 +1,20 @@
 """Measurement-model building blocks shared by the built-in models.
 
-Negative binomial densities use the (mean, size) parameterization with
-variance ``mean + mean^2/size``; a zero mean is the distribution degenerate
-at zero.
+Every density is a closed form on numpy and ``scipy.special``:
+
+- negative binomial, in the (mean, size) parameterization with variance
+  ``mean + mean^2/size``, ``gammaln(y + size) - gammaln(y + 1) -
+  gammaln(size) + size log p + y log(1 - p)`` with ``p = size/(size + mean)``;
+  a zero mean is the distribution degenerate at zero;
+- normal, ``-z^2/2 - log(sqrt(2 pi)) - log(sd)`` with ``z = (x - mean)/sd``,
+  summed in scipy's order so the values are scipy's to the last bit;
+- log-normal reporting, the normal density of ``log(y + 1)`` around
+  ``log(mean + 1)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 from scipy.special import gammaln, xlog1py
 
 from .errors import ValidationError
@@ -49,14 +55,18 @@ def nb_sample(mean, size, rng: np.random.Generator):
     return out
 
 
+_LOG_SQRT_2PI = np.log(np.sqrt(2.0 * np.pi))
+
+
 def norm_logpdf(x, mean, sd):
-    return stats.norm.logpdf(np.asarray(x, dtype=float), loc=mean, scale=sd)
+    """Normal log-density, vectorized; ``sd`` must be positive."""
+    z = (np.asarray(x, dtype=float) - mean) / sd
+    return -0.5 * z * z - _LOG_SQRT_2PI - np.log(sd)
 
 
 def lognormal_case_logpdf(y, mean_cases, sd):
     """Log-density of log(y+1) ~ Normal(log(mean_cases+1), sd^2)."""
-    y = np.asarray(y, dtype=float)
-    return stats.norm.logpdf(np.log1p(y), loc=np.log1p(mean_cases), scale=sd)
+    return norm_logpdf(np.log1p(np.asarray(y, dtype=float)), np.log1p(mean_cases), sd)
 
 
 def lognormal_case_sample(mean_cases, sd, rng: np.random.Generator):

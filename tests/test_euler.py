@@ -10,14 +10,9 @@ from hypothesis import strategies as st
 
 from epipomp.errors import ValidationError
 from epipomp.euler import (
-    RateMatrix,
-    SINK,
-    apply_flows,
     balanced_demography_step,
     euler_multinomial,
-    euler_multinomial_step,
     gamma_increment,
-    ode_step,
     poisson_inflow,
     rk4_step,
 )
@@ -214,73 +209,23 @@ class TestDeterministic:
         assert out[0] == pytest.approx(np.exp(-0.1), abs=1e-7)
         assert np.exp(-0.1) == pytest.approx(0.9048374, abs=5e-8)
 
-    def test_ode_step_zero_rates_is_identity(self):
-        state = {"a": 3.0, "b": 4.0}
-        rm = RateMatrix(edges={"a": [("b", 0.0, 0.0)]})
-        out, clamp = ode_step(state, lambda t, s: rm, 0.0, 0.5)
-        assert out == state
-        assert clamp == 0.0
-
-    def test_ode_step_decay_matches_rk4(self):
-        state = {"x": 1.0}
-        rm_fn = lambda t, s: RateMatrix(edges={"x": [(SINK, 1.0, 0.0)]})
-        out, _ = ode_step(state, rm_fn, 0.0, 0.1)
-        assert out["x"] == pytest.approx(np.exp(-0.1), abs=1e-7)
-
     def test_ode_sir_below_threshold_monotone_decreasing(self):
         # R0 < 1: infected trajectory decreases toward zero
         beta, gamma, N = 0.8, 1.0, 1000.0
 
-        def rates(t, s):
-            lam = beta * s["i"] / N
-            return RateMatrix(edges={"s": [("i", lam, 0.0)], "i": [("r", gamma, 0.0)]})
+        def deriv(t, y):
+            s, i, _ = y
+            infection, recovery = beta * s * i / N, gamma * i
+            return np.array([-infection, infection - recovery, recovery])
 
-        state = {"s": 900.0, "i": 100.0, "r": 0.0}
-        series = [state["i"]]
+        y = np.array([900.0, 100.0, 0.0])
+        series = [y[1]]
         for _ in range(200):
-            state, _ = ode_step(state, rates, 0.0, 0.05)
-            series.append(state["i"])
+            y = rk4_step(deriv, 0.0, y, 0.05)
+            series.append(y[1])
         assert all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
         # cross-check the endpoint against a much finer reference integration
-        ref = {"s": 900.0, "i": 100.0, "r": 0.0}
+        ref = np.array([900.0, 100.0, 0.0])
         for _ in range(4000):
-            ref, _ = ode_step(ref, rates, 0.0, 0.0025)
-        assert state["i"] == pytest.approx(ref["i"], rel=1e-5)
-
-    def test_non_finite_derivative_names_compartment(self):
-        rm_fn = lambda t, s: RateMatrix(edges={"x": [(SINK, 1.0, 0.0)]})
-        with pytest.raises(ValidationError, match="x"):
-            ode_step({"x": np.nan}, rm_fn, 0.0, 0.1)
-
-
-class TestRateMatrixSurface:
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            RateMatrix(edges={"a": [("b", -1.0, 0.0)]})
-        with pytest.raises(ValidationError):
-            RateMatrix(edges={"a": [("b", 1.0, -0.5)]})
-        with pytest.raises(ValidationError):
-            RateMatrix(edges={}, inflows=[("a", -2.0)])
-
-    def test_step_conserves_mass_identity(self, rng):
-        counts = {"s": 500, "i": 100, "r": 0}
-        rm = RateMatrix(
-            edges={"s": [("i", 0.4, 0.0)], "i": [("r", 0.9, 0.0), (SINK, 0.05, 0.0)]},
-            inflows=[("s", 10.0)],
-        )
-        for _ in range(200):
-            flows = euler_multinomial_step(counts, rm, 0.1, rng)
-            new_counts = apply_flows(counts, flows)
-            # conservation: change = inflows - outflows, per compartment
-            for c in counts:
-                delta = (
-                    sum(n for (src, dst), n in flows.items() if dst == c)
-                    - sum(n for (src, dst), n in flows.items() if src == c)
-                )
-                assert new_counts[c] - counts[c] == delta
-            counts = new_counts
-            assert all(v >= 0 for v in counts.values())
-
-    def test_destination_order_is_alphabetical(self):
-        rm = RateMatrix(edges={"a": [("z", 1.0, 0.0), ("b", 2.0, 0.0), ("m", 3.0, 0.0)]})
-        assert [d for d, _, _ in rm.sorted_edges("a")] == ["b", "m", "z"]
+            ref = rk4_step(deriv, 0.0, ref, 0.0025)
+        assert y[1] == pytest.approx(ref[1], rel=1e-5)

@@ -134,6 +134,8 @@ class TestTrajectoryProjection:
         np.testing.assert_allclose(proj.upper, proj.mean_reported, atol=1e-6)
 
     def test_band_quantile_formula(self):
+        from scipy import stats
+
         m = sir_model(stochastic=False)
         params = m.params.replace({"psi": 0.3})
         proj = trajectory_projection(m, params, "V0", None, 0.0, 20, euler_step=0.5, week_duration=1.0)
@@ -144,6 +146,14 @@ class TestTrajectoryProjection:
         np.testing.assert_allclose(
             proj.lower, np.exp(np.log(proj.mean_reported + 1.0) - z * 0.3) - 1.0, rtol=1e-6
         )
+        for level in (0.5, 0.9, 0.95):
+            proj = trajectory_projection(
+                m, params, "V0", None, 0.0, 20, euler_step=0.5, week_duration=1.0, level=level
+            )
+            z = stats.norm.ppf(0.5 + level / 2.0)
+            log_mean = np.log(proj.mean_reported + 1.0)
+            np.testing.assert_allclose(proj.upper, np.exp(log_mean + z * 0.3) - 1.0, rtol=1e-12)
+            np.testing.assert_allclose(proj.lower, np.exp(log_mean - z * 0.3) - 1.0, rtol=1e-12)
 
     def test_stochastic_model_rejected(self):
         m = sir_model(stochastic=True)

@@ -2,6 +2,7 @@
 validation messages, config precedence, reproducibility, and manifests."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -240,3 +241,21 @@ class TestCliPipeline:
         )
         assert res.returncode == 0
         assert "simulate" in res.stdout
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # package modules import only numpy, scipy.special and scipy.optimize
+        # at load time; scipy.stats alone would double every CLI's start-up
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        res = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import epipomp.cli, sys; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"

@@ -61,6 +61,14 @@ class TestMcapCi:
         cuts = [mcap_cutoff(a, v, 0.95) for v in (0.0, 0.1, 0.5, 2.0)]
         assert all(b > a_ for a_, b in zip(cuts, cuts[1:]))
 
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])
+    def test_cutoff_matches_scipy_chi2_quantile(self, confidence):
+        from scipy import stats
+
+        q = stats.chi2.ppf(confidence, 1)
+        assert mcap_cutoff(2.0, 0.0, confidence) == pytest.approx(q / 2.0, rel=1e-12)
+        assert mcap_cutoff(2.0, 0.3, confidence) == pytest.approx(q * 2.0 * (0.25 + 0.3), rel=1e-12)
+
     def test_requires_five_distinct_points(self):
         with pytest.raises(ValidationError):
             mcap_ci(np.array([1, 1, 2, 2]), np.array([0.0, 0.1, -0.2, -0.1]))

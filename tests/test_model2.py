@@ -14,7 +14,7 @@ from epipomp.haiti.model2 import (
     model2_force_of_infection,
     person_total,
 )
-from epipomp.measures import lognormal_case_logpdf
+from epipomp.measures import lognormal_case_logpdf, norm_logpdf
 from epipomp.model import compile_theta, make_rng, simulate
 from epipomp.units import WEEK, per_week
 
@@ -122,6 +122,27 @@ class TestMeasurement:
         y = np.exp(np.log(100.0) + psi) - 1.0
         val = float(lognormal_case_logpdf(y, 99.0, psi))
         assert val == pytest.approx(-np.log(psi * np.sqrt(2 * np.pi)) - 0.5, rel=1e-12)
+
+    def test_closed_forms_match_scipy_norm(self):
+        # |z| up to 1e3, (J, U) against (U,), sd over six decades
+        from scipy import stats
+
+        rng = np.random.default_rng(11)
+        sd = 10.0 ** np.linspace(-3.0, 3.0, 7)
+        mean = rng.normal(0.0, 5.0, size=sd.size)
+        z = np.concatenate([np.linspace(-1e3, 1e3, 41), rng.normal(0.0, 3.0, size=59)])
+        x = mean + z[:, None] * sd
+        np.testing.assert_allclose(
+            norm_logpdf(x, mean, sd), stats.norm.logpdf(x, loc=mean, scale=sd), rtol=0, atol=1e-12
+        )
+        mean_cases = rng.uniform(0.0, 1e4, size=sd.size)
+        y = rng.integers(0, 10**5, size=(100, sd.size)).astype(float)
+        np.testing.assert_allclose(
+            lognormal_case_logpdf(y, mean_cases, sd),
+            stats.norm.logpdf(np.log1p(y), loc=np.log1p(mean_cases), scale=sd),
+            rtol=0,
+            atol=1e-12,
+        )
 
     def test_rmeasure_mean_matches_lognormal_analytic_mean(self):
         geo = synthetic_geography()

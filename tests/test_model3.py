@@ -2,6 +2,8 @@
 shedding, Erlang immunity, measurement, initialization, and exact
 population conservation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import mc_se_mean
@@ -20,7 +22,7 @@ from epipomp.haiti.scenarios import apply_vaccination_scenario, builtin_scenario
 from epipomp.measures import nb_logpmf
 from epipomp.model import compile_theta, make_rng, simulate
 from epipomp.series import CovariateTable, standardize_rainfall
-from epipomp.units import DAYS_PER_YEAR, WEEK
+from epipomp.units import DAYS_PER_YEAR, WEEK, per_day
 
 INIT_OBS = np.array(
     [
@@ -173,10 +175,28 @@ class TestInitialization:
         np.testing.assert_array_equal(counts, np.tile(np.round(geo.populations), (3, 1)))
 
     def test_negative_recovered_clamped_with_warning(self, geo):
-        with pytest.warns(UserWarning, match="clamped"):
-            m = build_model3(INIT_OBS, geo)
-            theta = compile_theta(m, m.params)
-            m.rinit(theta, 1, make_rng(0))
+        # a slow recovery (hazard ~0.014/day) makes I0 = y_prev/(7 rho hazard)
+        # outgrow the reports: total < y_prev/(7 hazard) in every reporting unit
+        m = build_model3(INIT_OBS, geo)
+        params = m.params.replace({"mu_ir": per_day(1.0 / 100.0)})
+        with pytest.warns(UserWarning, match="clamped") as record:
+            X = m.rinit(compile_theta(m, params), 2, make_rng(0))
+        assert str(record[0].message).endswith(
+            "in Artibonite, Centre, Nord, Nord-Est, Nord-Ouest, Ouest, Sud, Sud-Est"
+        )
+        assert X[0, m.state_index("R1[Nord]")] == 0.0
+        counts = person_counts(m, X, geo.n_units)
+        np.testing.assert_array_equal(counts, np.tile(np.round(geo.populations), (2, 1)))
+
+    def test_units_started_from_i0_clamp_without_warning(self, geo):
+        # Grand'Anse and Nippes report 0 in all four weeks, so their
+        # R = -(I0 + A0)/3 < 0 is structural and is clamped silently
+        m = build_model3(INIT_OBS, geo)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = m.rinit(compile_theta(m, m.params), 1, make_rng(0))
+        assert X[0, m.state_index("I[Grand'Anse]")] == 21.0
+        assert X[0, m.state_index("R1[Grand'Anse]")] == 0.0
 
 
 class TestStochasticity:

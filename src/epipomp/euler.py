@@ -167,4 +167,3 @@ def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarr
     k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
     k4 = f(t + dt, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-

@@ -439,7 +439,7 @@ def _fit_settings(cfg: dict, params: ParameterSet, for_blocks: bool) -> If2Setti
         rw_sd=rw,
         cooling=float(fit["cooling"]),
         initial=params,
-        eval_particles=int(fit["eval_particles"]) if fit.get("eval_particles") else None,
+        eval_particles=None if fit.get("eval_particles") is None else int(fit["eval_particles"]),
     )
     if for_blocks:
         return IbpfSettings(blocks=cfg["blocks"], **kwargs)

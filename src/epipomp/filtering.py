@@ -1,10 +1,13 @@
 """Bootstrap particle filtering with optional block resampling.
 
-The plain particle filter is the one-block special case of the block filter:
-particles are propagated jointly, weighted by the measurement density, and
-resampled systematically within each block of spatial units. Conditional
-log-likelihoods, effective sample sizes, and a sample from the final
-filtering distribution are returned for diagnostics and forecasting.
+One pass propagates the particles, weights them by the measurement density,
+and resamples them systematically within each block of spatial units. The
+plain particle filter is the one-block case in which every particle shares
+one parameter vector; IF2 and IBPF (:mod:`epipomp.iterfilter`) run the same
+pass with a per-particle, randomly perturbed parameter swarm that is
+resampled together with the states. Conditional log-likelihoods, effective
+sample sizes, and the final filtering particles are returned for diagnostics
+and forecasting.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class PfResult:
 
     ``cond_logliks`` sum to ``loglik`` exactly (fixed summation order).
     ``ess`` is per observation time (minimum across blocks when block
-    filtering). ``filter_sample`` holds particles drawn from the filtering
+    filtering). ``filter_sample`` holds the J particles of the filtering
     distribution at the final observation time. ``failed_times`` flags
     observation indices where every particle had zero weight; the total
     log-likelihood is -inf in that case rather than an exception.
@@ -97,9 +100,7 @@ def particle_filter(
     J: int = 1000,
     seed: int = 0,
     blocks: Sequence[Sequence[str]] | None = None,
-    sample_size: int | None = None,
     rng: np.random.Generator | None = None,
-    theta: Theta | None = None,
 ) -> PfResult:
     """Bootstrap particle filter log-likelihood estimate.
 
@@ -107,9 +108,35 @@ def particle_filter(
     block, the standard filter). Missing observations contribute zero to the
     measurement density and trigger no resampling at that time/unit.
     """
+    model.check_params(params)
+    theta = compile_theta(model, params)
+    return _filter_pass(
+        model, theta, data, grid, covs, J, rng if rng is not None else make_rng(seed), blocks
+    )
+
+
+def _filter_pass(
+    model: PompModel,
+    theta: Theta | None,
+    data: ObservationSeries,
+    grid: TimeGrid,
+    covs: CovariateTable | None,
+    J: int,
+    rng: np.random.Generator,
+    blocks: Sequence[Sequence[str]] | None,
+    swarm=None,
+) -> PfResult:
+    """One propagate→weight→resample pass over the data.
+
+    Every particle shares ``theta`` unless a parameter ``swarm`` is given
+    (IF2/IBPF): ``swarm.theta()`` perturbs the per-particle parameters and
+    returns their theta, and is called before ``rinit`` and before every later
+    interval; ``swarm.resample(b, idx)`` moves the parameters that block ``b``
+    owns with the same indices as the block's states.
+    """
     if J < 1:
         raise ValidationError("J must be >= 1")
-    if data.n_units != model.n_units or tuple(data.units) != tuple(model.units):
+    if tuple(data.units) != tuple(model.units):
         raise ValidationError(
             f"data units {data.units} do not match model units {model.units}"
         )
@@ -117,25 +144,19 @@ def particle_filter(
         raise ValidationError(
             f"data has {data.n_obs} observations but grid has {grid.n_obs}"
         )
-    model.check_params(params)
     if model.needs_covariates:
         if covs is None:
             raise ValidationError(f"model {model.name!r} requires covariates")
         covs.check_span(grid.t0, grid.t_end)
-    block_units = resolve_blocks(model, blocks)
-    unit_index = {u: i for i, u in enumerate(model.units)}
-    block_cols = [np.array([unit_index[u] for u in b]) for b in block_units]
+    block_cols = [np.array([model.units.index(u) for u in b]) for b in resolve_blocks(model, blocks)]
     unit_slices = model.unit_state_indices()
     block_states = [
         np.concatenate([unit_slices[i] for i in cols]) if len(unit_slices) > 1 else unit_slices[0]
         for cols in block_cols
     ]
 
-    if rng is None:
-        rng = make_rng(seed)
-    if theta is None:
-        theta = compile_theta(model, params)
-
+    if swarm is not None:
+        theta = swarm.theta()
     X = np.asarray(model.rinit(theta, J, rng), dtype=float)
     N, U, B = grid.n_obs, model.n_units, len(block_cols)
     cond = np.zeros(N)
@@ -146,6 +167,8 @@ def particle_filter(
     acc = model.accum_indices
 
     for n, (t_prev, t_next) in enumerate(grid.intervals()):
+        if swarm is not None and n > 0:
+            theta = swarm.theta()
         if acc.size:
             X[:, acc] = 0.0
         X = advance(model, X, t_prev, t_next, theta, covs, grid, rng)
@@ -181,21 +204,18 @@ def particle_filter(
             else:
                 sl = block_states[b]
                 X[:, sl] = X[np.ix_(idx, sl)]
+            if swarm is not None:
+                swarm.resample(b, idx)
         cond[n] = t_cond
         ess[n] = block_ess[n].min()
         if time_failed:
             failed.append(n)
 
-    K = J if sample_size is None else int(sample_size)
-    if K == J:
-        sample = X.copy()
-    else:
-        sample = X[rng.integers(0, J, size=K)]
     return PfResult(
         loglik=float(np.sum(cond)),
         cond_logliks=cond,
         ess=ess,
-        filter_sample=sample,
+        filter_sample=X,
         unit_cond_logliks=unit_cond,
         block_ess=block_ess,
         failed_times=tuple(failed),

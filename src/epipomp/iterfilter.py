@@ -1,10 +1,12 @@
 """Iterated filtering: IF2 and the iterated block particle filter.
 
-Both algorithms run repeated filtering passes in which each particle carries
-its own parameter vector, perturbed by a geometrically cooled random walk on
-the estimation scale and resampled together with the latent states. IF2 is
-the one-block special case of the block variant and is implemented as such,
-so a one-block IBPF run is bit-identical to IF2 under shared seeds.
+Both algorithms repeat the block particle filter's pass
+(:func:`epipomp.filtering._filter_pass`) with a parameter swarm: each
+particle carries its own parameter vector, perturbed by a geometrically
+cooled random walk on the estimation scale before every interval and
+resampled together with the latent states. IF2 is the one-block special case
+of the block variant and is implemented as such, so a one-block IBPF run is
+bit-identical to IF2 under shared seeds.
 
 Unit-specific parameters are owned by the block containing their unit and
 are resampled only with that block. Shared parameters keep one copy per
@@ -25,7 +27,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .filtering import logmeanexp, particle_filter, resolve_blocks, systematic_indices
+# ``advance`` and ``systematic_indices`` are unused here but stay bound: the
+# benchmark tracer (perfbench/tracer.py) patches them as attributes of this module.
+from .filtering import _filter_pass, particle_filter, resolve_blocks, systematic_indices
 from .grid import TimeGrid
 from .model import PompModel, advance, compile_theta
 from .params import ParameterSet, from_estimation, split_key, to_estimation
@@ -60,6 +64,8 @@ class If2Settings:
         for k, v in self.rw_sd.items():
             if v < 0.0:
                 raise ValidationError(f"rw sd for {k!r} must be >= 0")
+        if self.eval_particles is not None and self.eval_particles < 1:
+            raise ValidationError("eval_particles must be >= 1 when given")
 
 
 @dataclass(frozen=True)
@@ -110,14 +116,19 @@ class _SearchLayout:
     transforms: tuple[str, ...]
     shared_cols: np.ndarray        # column indices of shared parameters
     unit_cols: np.ndarray          # column indices of unit-specific parameters
-    col_block: np.ndarray          # owning block per column (-1 = shared)
+    col_pos: np.ndarray            # position of each column in est_shared or est_unit
+    col_unit: np.ndarray           # model unit index per column (-1 = shared)
+    unit_block: np.ndarray         # block index per model unit
+    owned: list[np.ndarray]        # per block: positions in est_unit it owns
     bases: tuple[str, ...]         # base name per column
 
 
 def _expand_search(
     model: PompModel, params: ParameterSet, rw_sd: Mapping[str, float],
-    block_of_unit: Mapping[str, int],
+    blocks: list[list[str]],
 ) -> _SearchLayout:
+    """Lay out the searched columns; ``params`` already passed ``compile_theta``,
+    so every unit-specific key names one of the model's units."""
     keys: list[str] = []
     sds: list[float] = []
     for name, sd in rw_sd.items():
@@ -130,28 +141,26 @@ def _expand_search(
                 raise ValidationError(f"rw_sd names unknown parameter {name!r}")
             keys.extend(sorted(fam, key=lambda k: model.units.index(split_key(k)[1])))
             sds.extend([float(sd)] * len(fam))
-    col_block = []
-    transforms = []
-    bases = []
-    for k in keys:
-        base, unit = split_key(k)
-        bases.append(base)
-        transforms.append(params.transform_of(k))
-        if unit is None:
-            col_block.append(-1)
-        else:
-            if unit not in block_of_unit:
-                raise ValidationError(f"searched parameter {k!r} references unknown unit {unit!r}")
-            col_block.append(block_of_unit[unit])
-    col_block = np.array(col_block, dtype=int)
+    split = [split_key(k) for k in keys]
+    block_of_unit = {u: b for b, bu in enumerate(blocks) for u in bu}
+    unit_block = np.array([block_of_unit[u] for u in model.units])
+    col_unit = np.array([-1 if u is None else model.units.index(u) for _, u in split], dtype=int)
+    shared_cols = np.flatnonzero(col_unit < 0)
+    unit_cols = np.flatnonzero(col_unit >= 0)
+    col_pos = np.empty(len(keys), dtype=int)
+    col_pos[shared_cols] = np.arange(shared_cols.size)
+    col_pos[unit_cols] = np.arange(unit_cols.size)
     return _SearchLayout(
         keys=tuple(keys),
         sds=np.array(sds),
-        transforms=tuple(transforms),
-        shared_cols=np.flatnonzero(col_block < 0),
-        unit_cols=np.flatnonzero(col_block >= 0),
-        col_block=col_block,
-        bases=tuple(bases),
+        transforms=tuple(params.transform_of(k) for k in keys),
+        shared_cols=shared_cols,
+        unit_cols=unit_cols,
+        col_pos=col_pos,
+        col_unit=col_unit,
+        unit_block=unit_block,
+        owned=[np.flatnonzero(unit_block[col_unit[unit_cols]] == b) for b in range(len(blocks))],
+        bases=tuple(base for base, _ in split),
     )
 
 
@@ -161,33 +170,22 @@ def _natural_theta(
     layout: _SearchLayout,
     est_shared: np.ndarray,   # (B, J, P_sh)
     est_unit: np.ndarray,     # (J, P_us)
-    block_of_unit: Mapping[str, int],
 ) -> dict:
-    """Assemble the per-particle natural-scale theta mapping for one pass."""
-    J = est_unit.shape[0] if est_unit.size else est_shared.shape[1]
-    U = model.n_units
+    """Assemble the per-particle natural-scale theta mapping for one pass.
+
+    Each searched base becomes a (J, U) array; a shared column takes, at every
+    unit, the copy held by the block owning that unit.
+    """
+    shape = (est_shared.shape[1], model.n_units)
     theta = dict(fixed_theta)
-    grouped: dict[str, np.ndarray] = {}
-    for base in set(layout.bases):
-        cols = [i for i, b in enumerate(layout.bases) if b == base]
-        mat = np.empty((J, U))
-        template = fixed_theta.get(base)
-        if template is not None:
-            mat[:] = template
-        for ci in cols:
-            tr = layout.transforms[ci]
-            sh_pos = np.searchsorted(layout.shared_cols, ci)
-            if layout.col_block[ci] < 0:
-                per_block = est_shared[:, :, sh_pos]  # (B, J)
-                for u_idx, u in enumerate(model.units):
-                    vals = per_block[block_of_unit[u]]
-                    mat[:, u_idx] = _vec_from_est(vals, tr)
-            else:
-                us_pos = np.searchsorted(layout.unit_cols, ci)
-                unit = split_key(layout.keys[ci])[1]
-                mat[:, model.units.index(unit)] = _vec_from_est(est_unit[:, us_pos], tr)
-        grouped[base] = mat
-    theta.update(grouped)
+    for base in dict.fromkeys(layout.bases):
+        theta[base] = np.full(shape, fixed_theta[base])
+    for ci, tr in enumerate(layout.transforms):
+        mat, pos = theta[layout.bases[ci]], layout.col_pos[ci]
+        if layout.col_unit[ci] < 0:
+            mat[:] = _vec_from_est(est_shared[layout.unit_block, :, pos], tr).T
+        else:
+            mat[:, layout.col_unit[ci]] = _vec_from_est(est_unit[:, pos], tr)
     return theta
 
 
@@ -207,14 +205,42 @@ def _center_params(
 ) -> ParameterSet:
     updates = {}
     for ci, key in enumerate(layout.keys):
-        if layout.col_block[ci] < 0:
-            sh_pos = np.searchsorted(layout.shared_cols, ci)
-            center = float(np.mean(est_shared[:, :, sh_pos]))
-        else:
-            us_pos = np.searchsorted(layout.unit_cols, ci)
-            center = float(np.mean(est_unit[:, us_pos]))
-        updates[key] = from_estimation(center, layout.transforms[ci])
+        pos = layout.col_pos[ci]
+        est = est_shared[:, :, pos] if layout.col_unit[ci] < 0 else est_unit[:, pos]
+        updates[key] = from_estimation(float(np.mean(est)), layout.transforms[ci])
     return params.replace(updates)
+
+
+@dataclass
+class _Swarm:
+    """The parameter swarm an IF2/IBPF filtering pass carries.
+
+    Shared columns keep one copy per block, unit-specific columns one copy;
+    the sds are this iteration's random-walk sds of those columns.
+    """
+
+    model: PompModel
+    fixed: dict
+    layout: _SearchLayout
+    shared: np.ndarray        # (B, J, P_sh)
+    unit: np.ndarray          # (J, P_us)
+    sd_shared: np.ndarray     # (P_sh,)
+    sd_unit: np.ndarray       # (P_us,)
+    rng: np.random.Generator
+
+    def theta(self) -> dict:
+        """Perturb every particle's parameters and return their theta."""
+        # the sums are new arrays, so resampling never writes into the arrays
+        # the swarm started from (a size-0 draw takes nothing from the stream)
+        self.shared = self.shared + self.rng.normal(size=self.shared.shape) * self.sd_shared
+        self.unit = self.unit + self.rng.normal(size=self.unit.shape) * self.sd_unit
+        return _natural_theta(self.model, self.fixed, self.layout, self.shared, self.unit)
+
+    def resample(self, b: int, idx: np.ndarray) -> None:
+        """Move block ``b``'s shared copy and the unit columns it owns to ``idx``."""
+        self.shared[b] = self.shared[b][idx]
+        owned = self.layout.owned[b]
+        self.unit[:, owned] = self.unit[np.ix_(idx, owned)]
 
 
 def ibpf(
@@ -255,154 +281,78 @@ def _iterated_filter(
 ) -> If2Result:
     params = settings.initial if settings.initial is not None else model.params
     model.check_params(params)
-    if data.n_obs != grid.n_obs:
-        raise ValidationError("data/grid length mismatch")
-    if model.needs_covariates:
-        if covs is None:
-            raise ValidationError(f"model {model.name!r} requires covariates")
-        covs.check_span(grid.t0, grid.t_end)
+    J, M, B = settings.J, settings.M, len(blocks)
+    fixed = compile_theta(model, params)
+    layout = _expand_search(model, params, settings.rw_sd, blocks)
 
-    J, M = settings.J, settings.M
-    B = len(blocks)
-    unit_index = {u: i for i, u in enumerate(model.units)}
-    block_of_unit = {u: b for b, bu in enumerate(blocks) for u in bu}
-    block_cols = [np.array([unit_index[u] for u in b]) for b in blocks]
-    unit_slices = model.unit_state_indices()
-    if len(unit_slices) == 1:
-        block_states = [np.arange(model.n_states)]
-    else:
-        block_states = [np.concatenate([unit_slices[i] for i in cols]) for cols in block_cols]
-
-    layout = _expand_search(model, params, settings.rw_sd, block_of_unit)
-    fixed = {k: v for k, v in compile_theta(model, params).items()}
-    P_sh, P_us = layout.shared_cols.size, layout.unit_cols.size
-
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(2 * M + 1)
+    children = np.random.SeedSequence(seed).spawn(2 * M + 1)
     init_rng = np.random.Generator(np.random.Philox(children[0]))
 
     # initial swarm on the estimation scale
     est0 = params.to_est(layout.keys)
-    est_unit = np.tile(est0[layout.unit_cols], (J, 1)) if P_us else np.zeros((J, 0))
-    est_shared = (
-        np.tile(est0[layout.shared_cols], (B, J, 1)) if P_sh else np.zeros((B, J, 0))
-    )
-    if settings.hypercube:
-        for name, (lo, hi) in settings.hypercube.items():
-            matches = [i for i, k in enumerate(layout.keys) if k == name or split_key(k)[0] == name]
-            if not matches:
-                raise ValidationError(f"hypercube names unsearched parameter {name!r}")
-            for ci in matches:
-                tr = layout.transforms[ci]
-                draws = init_rng.uniform(lo, hi, size=J)
-                est = np.array([to_estimation(v, tr) for v in draws])
-                if layout.col_block[ci] < 0:
-                    est_shared[:, :, np.searchsorted(layout.shared_cols, ci)] = est[None, :]
-                else:
-                    est_unit[:, np.searchsorted(layout.unit_cols, ci)] = est
+    est_unit = np.tile(est0[layout.unit_cols], (J, 1))
+    est_shared = np.tile(est0[layout.shared_cols], (B, J, 1))
+    for name, (lo, hi) in (settings.hypercube or {}).items():
+        matches = [i for i, k in enumerate(layout.keys) if k == name or split_key(k)[0] == name]
+        if not matches:
+            raise ValidationError(f"hypercube names unsearched parameter {name!r}")
+        for ci in matches:
+            tr = layout.transforms[ci]
+            est = np.array([to_estimation(v, tr) for v in init_rng.uniform(lo, hi, size=J)])
+            if layout.col_unit[ci] < 0:
+                est_shared[:, :, layout.col_pos[ci]] = est
+            else:
+                est_unit[:, layout.col_pos[ci]] = est
 
-    acc = model.accum_indices
     trace: list[IterationRecord] = []
     best: tuple[float, ParameterSet] | None = None
     aborted = False
 
     for m in range(1, M + 1):
         pass_rng = np.random.Generator(np.random.Philox(children[2 * m - 1]))
-        eval_seed = children[2 * m]
         sd_m = np.array([cooled_sd(s, settings.cooling, m) for s in layout.sds])
-        sd_sh, sd_us = sd_m[layout.shared_cols], sd_m[layout.unit_cols]
-        snapshot = (est_shared.copy(), est_unit.copy())
-
-        def perturb() -> None:
-            nonlocal est_shared, est_unit
-            if P_sh:
-                est_shared = est_shared + pass_rng.normal(size=(B, J, P_sh)) * sd_sh
-            if P_us:
-                est_unit = est_unit + pass_rng.normal(size=(J, P_us)) * sd_us
-
-        perturb()
-        theta = _natural_theta(model, fixed, layout, est_shared, est_unit, block_of_unit)
-        X = np.asarray(model.rinit(theta, J, pass_rng), dtype=float)
-        pass_loglik = 0.0
-        failed_pass = False
-
-        for n, (t_prev, t_next) in enumerate(grid.intervals()):
-            if n > 0:
-                perturb()
-                theta = _natural_theta(model, fixed, layout, est_shared, est_unit, block_of_unit)
-            if acc.size:
-                X[:, acc] = 0.0
-            X = advance(model, X, t_prev, t_next, theta, covs, grid, pass_rng)
-            y = data.values[:, n]
-            missing = np.isnan(y)
-            if missing.all():
-                continue
-            logw_units = np.asarray(
-                model.dunit_measure(np.where(missing, 0.0, y), X, t_next, theta), dtype=float
-            )
-            logw_units[:, missing] = 0.0
-            for b, cols in enumerate(block_cols):
-                logw = logw_units[:, cols].sum(axis=1)
-                c = logmeanexp(logw)
-                pass_loglik += c
-                if not np.isfinite(c):
-                    failed_pass = True
-                    continue
-                if np.ptp(logw) < 1e-14:
-                    continue
-                idx = systematic_indices(logw, pass_rng.random())
-                if B == 1:
-                    X = X[idx]
-                else:
-                    sl = block_states[b]
-                    X[:, sl] = X[np.ix_(idx, sl)]
-                if P_sh:
-                    est_shared[b] = est_shared[b][idx]
-                if P_us:
-                    owned = np.flatnonzero(layout.col_block[layout.unit_cols] == b)
-                    if owned.size:
-                        est_unit[:, owned] = est_unit[np.ix_(idx, owned)]
-
-        if failed_pass:
-            # total filtering failure: restore the swarm and stop after tracing
-            est_shared, est_unit = snapshot
+        swarm = _Swarm(
+            model, fixed, layout, est_shared, est_unit,
+            sd_m[layout.shared_cols], sd_m[layout.unit_cols], pass_rng,
+        )
+        res = _filter_pass(model, None, data, grid, covs, J, pass_rng, blocks, swarm)
+        if res.failed_times:
+            # total filtering failure: keep the swarm from before the pass and
+            # stop after tracing
             aborted = True
+        else:
+            est_shared, est_unit = swarm.shared, swarm.unit
 
         # reconcile shared parameters across blocks (mean on estimation scale)
-        if P_sh and B > 1:
+        if est_shared.size and B > 1:
             est_shared[:] = est_shared.mean(axis=0, keepdims=True)
 
         center = _center_params(params, layout, est_shared, est_unit)
-        eval_J = settings.eval_particles or J
         eval_res = particle_filter(
-            model, center, data, grid, covs, J=eval_J,
-            rng=np.random.Generator(np.random.Philox(eval_seed)),
+            model, center, data, grid, covs, J=settings.eval_particles or J,
+            rng=np.random.Generator(np.random.Philox(children[2 * m])),
             blocks=blocks,
         )
-        trace.append(IterationRecord(m, float(pass_loglik), eval_res.loglik, center))
+        trace.append(IterationRecord(m, res.loglik, eval_res.loglik, center))
         if np.isfinite(eval_res.loglik) and (best is None or eval_res.loglik >= best[0]):
             best = (eval_res.loglik, center)
         if aborted:
             break
 
     if best is None:
-        last = trace[-1] if trace else IterationRecord(0, -np.inf, -np.inf, params)
-        best = (last.eval_loglik, last.center)
+        best = (trace[-1].eval_loglik, trace[-1].center)
 
-    swarm = np.empty((J, len(layout.keys)))
-    for ci in range(len(layout.keys)):
-        tr = layout.transforms[ci]
-        if layout.col_block[ci] < 0:
-            vals = est_shared[0, :, np.searchsorted(layout.shared_cols, ci)]
-        else:
-            vals = est_unit[:, np.searchsorted(layout.unit_cols, ci)]
-        swarm[:, ci] = _vec_from_est(vals, tr)
+    natural = np.empty((J, len(layout.keys)))
+    for ci, tr in enumerate(layout.transforms):
+        pos = layout.col_pos[ci]
+        vals = est_shared[0, :, pos] if layout.col_unit[ci] < 0 else est_unit[:, pos]
+        natural[:, ci] = _vec_from_est(vals, tr)
 
     return If2Result(
         best=best[1],
         best_loglik=best[0],
         trace=trace,
-        swarm=swarm,
+        swarm=natural,
         searched=layout.keys,
         aborted=aborted,
     )

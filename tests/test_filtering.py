@@ -123,10 +123,24 @@ class TestStructure:
         assert res.ess[4] == 100.0
         assert np.isfinite(res.loglik)
 
+    def test_all_missing_weeks_add_zero_and_keep_ess_J(self):
+        m = sir_model()
+        g = toy_grid(10)
+        vals = simulate(m, m.params, g, n_sims=1, seed=8).observation_series(0).values.copy()
+        vals[:, [3, 6]] = np.nan
+        from epipomp.series import ObservationSeries
+
+        res = particle_filter(m, m.params, ObservationSeries(("unit",), vals), g, J=100, seed=5)
+        assert res.cond_logliks[3] == 0.0 and res.cond_logliks[6] == 0.0
+        assert res.ess[3] == 100.0 and res.ess[6] == 100.0
+        assert np.all(res.block_ess[[3, 6]] == 100.0)
+        assert np.isfinite(res.loglik)
+
     def test_filter_sample_shape(self, hmm_data):
+        # the sample is the J particles of the final filtering distribution
         m, g, data = hmm_data
-        res = particle_filter(m, m.params, data, g, J=40, seed=0, sample_size=15)
-        assert res.filter_sample.shape == (15, 1)
+        res = particle_filter(m, m.params, data, g, J=40, seed=0)
+        assert res.filter_sample.shape == (40, m.n_states)
 
     def test_data_unit_mismatch_rejected(self, hmm_data):
         m, g, data = hmm_data

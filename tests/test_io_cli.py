@@ -259,3 +259,25 @@ class TestCliPipeline:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+    def test_benchmark_tracer_instruments_the_package(self):
+        # perfbench/tracer.py patches package functions by module attribute;
+        # a rename that breaks it fails here, not only in the benchmark
+        root = Path(__file__).resolve().parents[1]
+        res = subprocess.run(
+            [sys.executable, "-c", "from tracer import Tracer, instrument; instrument(Tracer())"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root / 'perfbench'}"},
+        )
+        assert res.returncode == 0, res.stderr
+
+    def test_fit_eval_particles_zero_rejected(self, tmp_path, toy_cases):
+        code = self.run(
+            "fit-if2", "--seed", "1", "--out", str(tmp_path / "f"),
+            "--set", "model=toy:sir", "--set", f"data.cases={toy_cases}",
+            "--set", 'fit.rw_sd={"beta": 0.05}', "--set", "fit.eval_particles=0",
+        )
+        assert code == 2
+        summary = json.loads((tmp_path / "f" / "summary.json").read_text())
+        assert "eval_particles" in summary["error"]

@@ -6,10 +6,22 @@ import numpy as np
 import pytest
 from conftest import mc_se_mean
 
+from epipomp import filtering
 from epipomp.errors import ValidationError
 from epipomp.filtering import particle_filter
-from epipomp.iterfilter import IbpfSettings, If2Settings, cooled_sd, ibpf, if2
-from epipomp.model import simulate
+from epipomp.iterfilter import (
+    IbpfSettings,
+    If2Settings,
+    _expand_search,
+    _natural_theta,
+    _vec_from_est,
+    cooled_sd,
+    ibpf,
+    if2,
+)
+from epipomp.model import compile_theta, simulate
+from epipomp.params import split_key
+from epipomp.series import ObservationSeries
 from epipomp.toys import metapop_model, sir_model, toy_grid
 
 
@@ -31,6 +43,9 @@ class TestSettings:
             If2Settings(J=1, M=1, rw_sd={"beta": -0.1})
         with pytest.raises(ValidationError):
             If2Settings(J=1, M=1, rw_sd={"beta": 0.1}, cooling=0.0)
+        for eval_particles in (0, -3):
+            with pytest.raises(ValidationError, match="eval_particles"):
+                If2Settings(J=1, M=1, rw_sd={"beta": 0.1}, eval_particles=eval_particles)
 
     def test_geometric_cooling_definition(self):
         # sd at iteration 50 equals cooling_fraction * sd at iteration 0
@@ -75,6 +90,28 @@ class TestIf2:
         res0 = if2(m, data, g, None, st0, seed=3)
         assert np.all(res0.swarm[:, 0] == m.params["beta"])
 
+    def test_all_missing_weeks_draw_no_resampling_uniform(self, sir_data, monkeypatch):
+        # the pass resamples every observed week (J=50 weights are never
+        # constant here) and skips the all-NaN ones; the evaluation filter
+        # (30 particles) is told apart by its weight count
+        m, g, data = sir_data
+        calls: list[int] = []
+        original = filtering.systematic_indices
+
+        def counting(logw, u):
+            calls.append(logw.size)
+            return original(logw, u)
+
+        monkeypatch.setattr(filtering, "systematic_indices", counting)
+        vals = data.values.copy()
+        vals[:, [5, 17]] = np.nan
+        st = If2Settings(J=50, M=1, rw_sd={"beta": 0.05}, eval_particles=30)
+        for series, observed in ((data, g.n_obs), (ObservationSeries(("unit",), vals), g.n_obs - 2)):
+            calls.clear()
+            res = if2(m, series, g, None, st, seed=2)
+            assert calls.count(50) == observed
+            assert np.isfinite(res.trace[0].pass_loglik)
+
     def test_recovery_on_self_simulated_data(self, sir_data):
         m, g, data = sir_data
         start = m.params.replace({"beta": 1.2})
@@ -95,6 +132,18 @@ class TestIbpf:
         assert [r.pass_loglik for r in a.trace] == [r.pass_loglik for r in b.trace]
         assert np.array_equal(a.swarm, b.swarm)
 
+    @pytest.mark.parametrize("units", [("a",), ("b", "a")])
+    def test_data_units_must_match_model_units(self, units):
+        m = metapop_model(units=("a", "b"))
+        g = toy_grid(8)
+        values = simulate(m, m.params, g, n_sims=1, seed=4).observation_series(0).values
+        data = ObservationSeries(units, values[: len(units)])
+        message = r"data units \(.*\) do not match model units \('a', 'b'\)"
+        with pytest.raises(ValidationError, match=message):
+            if2(m, data, g, None, If2Settings(J=10, M=1, rw_sd={"gamma": 0.05}), seed=0)
+        with pytest.raises(ValidationError, match=message):
+            ibpf(m, data, g, None, IbpfSettings(J=10, M=1, rw_sd={"gamma": 0.05}), seed=0)
+
     def test_block_partition_validated(self, sir_data):
         m, g, data = sir_data
         st = IbpfSettings(J=10, M=1, rw_sd={"beta": 0.05}, blocks=[["unit"], ["ghost"]])
@@ -113,8 +162,6 @@ class TestIbpf:
                 for s in range(reps)
             ]
         )
-        from epipomp.series import ObservationSeries
-
         totals = []
         for s in range(reps):
             total = 0.0
@@ -168,3 +215,31 @@ class TestSharedReconciliation:
         res = ibpf(m, data, g, None, st, seed=6)
         assert res.trace[-1].center["gamma"] > 0
         assert not res.aborted
+
+
+class TestNaturalTheta:
+    def test_matches_per_unit_loop(self):
+        # reference: each searched column written one unit at a time; a shared
+        # column takes the copy of the block that owns the unit
+        m = metapop_model(units=("a", "b", "c"))
+        blocks = [["a", "c"], ["b"]]
+        layout = _expand_search(m, m.params, {"gamma": 0.1, "beta": 0.1, "rho": 0.1}, blocks)
+        shared_cols, unit_cols = list(layout.shared_cols), list(layout.unit_cols)
+        rng = np.random.default_rng(0)
+        est_shared = rng.normal(size=(2, 7, len(shared_cols)))
+        est_unit = rng.normal(size=(7, len(unit_cols)))
+        fixed = compile_theta(m, m.params)
+        theta = _natural_theta(m, fixed, layout, est_shared, est_unit)
+        block_of = {"a": 0, "c": 0, "b": 1}
+        for ci, key in enumerate(layout.keys):
+            base, unit = split_key(key)
+            for u, name in enumerate(m.units):
+                if unit is None:
+                    est = est_shared[block_of[name], :, shared_cols.index(ci)]
+                elif unit == name:
+                    est = est_unit[:, unit_cols.index(ci)]
+                else:
+                    continue
+                assert np.array_equal(theta[base][:, u], _vec_from_est(est, layout.transforms[ci]))
+        unsearched = [k for k in fixed if k not in ("gamma", "beta", "rho")]
+        assert unsearched and all(theta[k] is fixed[k] for k in unsearched)

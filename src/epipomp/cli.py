@@ -3,9 +3,13 @@
 Subcommands: simulate | filter | fit-if2 | fit-ibpf | fit-traj | benchmark |
 profile | mcap | forecast. Settings resolve with precedence command line
 (``--set key.path=value``) over config file (``--config``) over built-in
-defaults. Every run writes a manifest (resolved config, seed, version, input
-hashes, wall time), CSV result tables, and a machine-readable summary.json
-into the output directory.
+defaults. Every run writes a manifest (resolved config, seed, version, wall
+time, and under ``inputs`` the SHA-256 of every file the command read), CSV
+result tables, and a machine-readable summary.json into the output directory.
+
+``build_bundle`` is the one place a model is built from its data. Its
+``Bundle`` keeps the builder, and ``forecast`` simulates the model the filter
+ran on, rebuilt by that builder with the scenario's vaccine cohorts added.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import hashlib
 import json
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
@@ -32,6 +37,8 @@ from .filtering import particle_filter
 from .forecast import forecast_from_filter, trajectory_projection
 from .grid import TimeGrid
 from .haiti import (
+    GeographyData,
+    VaccinationSchedule,
     apply_vaccination_scenario,
     builtin_scenario,
     model1 as m1,
@@ -40,7 +47,7 @@ from .haiti import (
 )
 from .iterfilter import IbpfSettings, If2Settings, ibpf, if2
 from .mcap import mcap_ci, profile_design
-from .model import simulate
+from .model import PompModel, simulate
 from .optimize import trajectory_match
 from .params import ParameterSet
 from .series import CovariateTable, ObservationSeries, standardize_rainfall
@@ -159,56 +166,45 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+def _read_input(path: Path, inputs: dict[str, str]) -> Path:
+    """Record an input file's SHA-256 under its path, for the manifest."""
+    try:
+        inputs[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc.strerror}") from None
+    return path
+
+
+def _data_path(cfg: dict, key: str, default: str, inputs: dict[str, str]) -> Path:
+    """The configured ``data.<key>`` file, else the bundled one, recorded."""
+    given = cfg["data"][key]
+    return _read_input(Path(given) if given else bundled_path(default), inputs)
 
 
 @dataclasses.dataclass
 class Bundle:
-    """Everything a command needs for one model: data, grid, covariates."""
+    """Everything a command needs for one model: data, grid, covariates, and
+    the builder of its model.
+
+    ``build_model(schedule)`` rebuilds the model from the same inputs with the
+    vaccine cohorts of ``schedule`` added; ``build_model(None)`` is ``model``.
+    The toys' builder returns their one fixed model.
+    """
 
     model_id: str
-    model: object
+    model: PompModel
+    build_model: Callable[[VaccinationSchedule | None], PompModel]
     grid: TimeGrid
     data: ObservationSeries | None
     covs: CovariateTable | None
-    geography: object | None
+    geography: GeographyData | None
     params: ParameterSet
     origin_date: dt.date | None
-    start_date: dt.date | None
-    inputs: dict[str, str]
-
-
-def _load_geography(cfg: dict, inputs: dict):
-    d = cfg["data"]
-    geo_p = Path(d["geography"]) if d["geography"] else bundled_path("geography.csv")
-    dist_p = Path(d["distance_matrix"]) if d["distance_matrix"] else bundled_path("distance.csv")
-    river_p = Path(d["river_matrix"]) if d["river_matrix"] else bundled_path("river.csv")
-    for p in (geo_p, dist_p, river_p):
-        inputs[str(p)] = _sha256(p)
-    return io.load_geography(geo_p, dist_p, river_p)
-
-
-def _load_cases(cfg: dict, inputs: dict, expected_units: int | None = None) -> ObservationSeries:
-    p = Path(cfg["data"]["cases"]) if cfg["data"]["cases"] else bundled_path("cases.csv")
-    inputs[str(p)] = _sha256(p)
-    return io.load_cases(p, expected_units)
-
-
-def _load_efficacy(cfg: dict, inputs: dict):
-    d = cfg["data"]
-    p = Path(d["efficacy"]) if d["efficacy"] else bundled_path("efficacy.csv")
-    inputs[str(p)] = _sha256(p)
-    return io.load_efficacy(p)
 
 
 def _rain_covariates(cfg: dict, inputs: dict, start_date: dt.date, geo) -> CovariateTable:
     d = cfg["data"]
-    p = Path(d["rainfall"]) if d["rainfall"] else bundled_path("rainfall.csv")
-    inputs[str(p)] = _sha256(p)
-    depts, dates, raw = io.load_rainfall(p)
+    depts, dates, raw = io.load_rainfall(_data_path(cfg, "rainfall", "rainfall.csv", inputs))
     if list(depts) != list(geo.units):
         raise DataFormatError(f"rainfall departments {depts} do not match geography {list(geo.units)}")
     rain = standardize_rainfall(raw, depts)
@@ -236,92 +232,82 @@ def _subset_weeks(cfg: dict, data: ObservationSeries, grid: TimeGrid):
     return data.subset(a, b), sub_grid
 
 
-def build_bundle(cfg: dict, need_data: bool = True) -> Bundle:
-    model_id = cfg["model"]
-    inputs: dict[str, str] = {}
-    euler_days = float(cfg["grid"]["euler_days"])
+def _weekly_grid(t0: float, n_obs: int, euler_step: float) -> TimeGrid:
+    return TimeGrid(t0=t0, obs_times=t0 + np.arange(1, n_obs + 1) * WEEK, euler_step=euler_step)
 
+
+def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | None = None) -> Bundle:
+    """The configured model with its data, grid and covariates.
+
+    The SHA-256 of every file read goes into ``inputs`` when it is given.
+    """
+    model_id = cfg["model"]
+    inputs = {} if inputs is None else inputs
     if model_id.startswith("toy:"):
         return _build_toy_bundle(cfg, model_id, inputs, need_data)
+    if model_id not in ("model1", "model2", "model3"):
+        raise ConfigError(f"unknown model {cfg['model']!r}")
 
-    geo = _load_geography(cfg, inputs)
-    curve = _load_efficacy(cfg, inputs)
+    d = cfg["data"]
+    geo = io.load_geography(
+        _data_path(cfg, "geography", "geography.csv", inputs),
+        _data_path(cfg, "distance_matrix", "distance.csv", inputs),
+        _data_path(cfg, "river_matrix", "river.csv", inputs),
+    )
+    cases = io.load_cases(
+        _data_path(cfg, "cases", "cases.csv", inputs),
+        expected_units=None if model_id == "model1" else geo.n_units,
+    )
+    start_date = io.parse_date(cases.dates[0])
+    euler_step = float(cfg["grid"]["euler_days"]) * WEEK / 7.0
+    covs = None
 
     if model_id == "model3":
-        cases = _load_cases(cfg, inputs, expected_units=geo.n_units)
-        start_date = io.parse_date(cases.dates[0])
         init_weeks = 4
         if cases.n_obs <= init_weeks:
             raise DataFormatError("model3 needs more than 4 weeks of data (4 initialize)")
         init_obs = cases.values[:, :init_weeks]
+        curve = io.load_efficacy(_data_path(cfg, "efficacy", "efficacy.csv", inputs))
         covs = _rain_covariates(cfg, inputs, start_date, geo)
         median_rain = float(np.median(covs.rainfall))
-        model = m3.build_model3(init_obs, geo, curve=curve, median_rainfall=median_rain)
-        t0 = (init_weeks - 1) * WEEK
+
+        def build(schedule=None):
+            return m3.build_model3(
+                init_obs, geo, schedule=schedule, curve=curve, median_rainfall=median_rain
+            )
+
         data = cases.subset(init_weeks, cases.n_obs)
-        grid = TimeGrid(
-            t0=t0,
-            obs_times=t0 + np.arange(1, data.n_obs + 1) * WEEK,
-            euler_step=euler_days * WEEK / 7.0,
-        )
-        data, grid = _subset_weeks(cfg, data, grid)
-        params = _apply_param_overrides(model.params, cfg["params"])
-        origin = io.parse_date(cases.dates[-1])
-        return Bundle(model_id, model, grid, data, covs, geo, params, origin, start_date, inputs)
-
-    if model_id == "model2":
-        cases = _load_cases(cfg, inputs, expected_units=geo.n_units)
-        start_date = io.parse_date(cases.dates[0])
+        grid = _weekly_grid((init_weeks - 1) * WEEK, data.n_obs, euler_step)
+    elif model_id == "model2":
         init_cases = np.nan_to_num(cases.values[:, 0])
-        model = m2.build_model2(init_cases, geo)
+
+        def build(schedule=None):
+            return m2.build_model2(init_cases, geo, schedule=schedule)
+
         data = cases.subset(1, cases.n_obs)
-        grid = TimeGrid(
-            t0=0.0,
-            obs_times=np.arange(1, data.n_obs + 1) * WEEK,
-            euler_step=euler_days * WEEK / 7.0,
-        )
-        data, grid = _subset_weeks(cfg, data, grid)
-        params = _apply_param_overrides(model.params, cfg["params"])
-        origin = io.parse_date(cases.dates[-1])
-        return Bundle(model_id, model, grid, data, covs_or_none(cfg, inputs, start_date, geo), geo, params, origin, start_date, inputs)
-
-    if model_id == "model1":
-        cases = _load_cases(cfg, inputs)
-        if cases.n_units > 1:
-            cases = cases.aggregate()
-        start_date = io.parse_date(cases.dates[0])
-        data = cases
-        grid = TimeGrid(
-            t0=0.0,
-            obs_times=np.arange(1, data.n_obs + 1) * WEEK,
-            euler_step=euler_days * WEEK / 7.0,
-        )
+        grid = _weekly_grid(0.0, data.n_obs, euler_step)
+    else:
+        data = cases.aggregate() if cases.n_units > 1 else cases
+        grid = _weekly_grid(0.0, data.n_obs, euler_step)
+        # the trend is anchored on the whole series, before any weeks subset
+        trend_window = (grid.t0, grid.t_end)
+        pop = float(np.sum(geo.populations))
+        curve = io.load_efficacy(_data_path(cfg, "efficacy", "efficacy.csv", inputs))
         phase_break = None
-        if cfg["data"].get("phase_break_date"):
-            phase_break = io.week_time(start_date, io.parse_date(str(cfg["data"]["phase_break_date"])))
-        model = m1.build_model1(
-            trend_window=(grid.t0, grid.t_end),
-            pop=float(np.sum(geo.populations)),
-            curve=curve,
-            phase_break=phase_break,
-        )
-        data, grid = _subset_weeks(cfg, data, grid)
-        params = _apply_param_overrides(model.params, cfg["params"])
-        origin = io.parse_date(cases.dates[-1])
-        return Bundle(model_id, model, grid, data, None, geo, params, origin, start_date, inputs)
+        if d.get("phase_break_date"):
+            phase_break = io.week_time(start_date, io.parse_date(str(d["phase_break_date"])))
 
-    raise ConfigError(f"unknown model {cfg['model']!r}")
+        def build(schedule=None):
+            return m1.build_model1(
+                trend_window=trend_window, pop=pop, schedule=schedule, curve=curve,
+                phase_break=phase_break,
+            )
 
-
-def covs_or_none(cfg, inputs, start_date, geo):
-    """Rainfall covariates when available; a malformed bundled default is
-    tolerated, an explicitly configured file is not."""
-    if cfg["data"]["rainfall"]:
-        return _rain_covariates(cfg, inputs, start_date, geo)
-    try:
-        return _rain_covariates(cfg, inputs, start_date, geo)
-    except DataFormatError:
-        return None
+    data, grid = _subset_weeks(cfg, data, grid)
+    model = build()
+    params = _apply_param_overrides(model.params, cfg["params"])
+    origin = io.parse_date(cases.dates[-1])
+    return Bundle(model_id, model, build, grid, data, covs, geo, params, origin)
 
 
 def _build_toy_bundle(cfg: dict, model_id: str, inputs: dict, need_data: bool) -> Bundle:
@@ -340,9 +326,7 @@ def _build_toy_bundle(cfg: dict, model_id: str, inputs: dict, need_data: bool) -
     model = builders[model_id]()
     data = None
     if cfg["data"]["cases"]:
-        p = Path(cfg["data"]["cases"])
-        inputs[str(p)] = _sha256(p)
-        data = io.load_cases(p)
+        data = io.load_cases(_read_input(Path(cfg["data"]["cases"]), inputs))
         if tuple(data.units) != tuple(model.units):
             raise DataFormatError(
                 f"cases departments {data.units} do not match toy units {model.units}"
@@ -354,7 +338,7 @@ def _build_toy_bundle(cfg: dict, model_id: str, inputs: dict, need_data: bool) -
         n_obs = int(cfg["simulate"]["horizon_weeks"])
     grid = toy_grid(n_obs, euler_step=1.0 / steps)
     params = _apply_param_overrides(model.params, cfg["params"])
-    return Bundle(model_id, model, grid, data, None, None, params, None, None, inputs)
+    return Bundle(model_id, model, lambda schedule=None: model, grid, data, None, None, params, None)
 
 
 def _apply_param_overrides(params: ParameterSet, overrides: dict) -> ParameterSet:
@@ -371,8 +355,8 @@ def _apply_param_overrides(params: ParameterSet, overrides: dict) -> ParameterSe
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(cfg: dict, out: Path) -> dict:
-    bundle = build_bundle(cfg, need_data=False)
+def cmd_simulate(cfg: dict, out: Path, inputs: dict) -> dict:
+    bundle = build_bundle(cfg, need_data=False, inputs=inputs)
     n_sims = int(cfg["simulate"]["n_sims"])
     seed = _require_seed(cfg)
     res = simulate(bundle.model, bundle.params, bundle.grid, bundle.covs, n_sims=n_sims, seed=seed)
@@ -403,8 +387,8 @@ def _fmt(v) -> str:
     return str(int(f)) if f == int(f) else f"{f:.6g}"
 
 
-def cmd_filter(cfg: dict, out: Path) -> dict:
-    bundle = build_bundle(cfg)
+def cmd_filter(cfg: dict, out: Path, inputs: dict) -> dict:
+    bundle = build_bundle(cfg, inputs=inputs)
     seed = _require_seed(cfg)
     J = int(cfg["filter"]["J"])
     res = particle_filter(
@@ -475,24 +459,24 @@ def _write_fit_outputs(out: Path, result, bundle: Bundle) -> dict:
     }
 
 
-def cmd_fit_if2(cfg: dict, out: Path) -> dict:
-    bundle = build_bundle(cfg)
+def cmd_fit_if2(cfg: dict, out: Path, inputs: dict) -> dict:
+    bundle = build_bundle(cfg, inputs=inputs)
     seed = _require_seed(cfg)
     settings = _fit_settings(cfg, bundle.params, for_blocks=False)
     result = if2(bundle.model, bundle.data, bundle.grid, bundle.covs, settings, seed=seed)
     return _write_fit_outputs(out, result, bundle)
 
 
-def cmd_fit_ibpf(cfg: dict, out: Path) -> dict:
-    bundle = build_bundle(cfg)
+def cmd_fit_ibpf(cfg: dict, out: Path, inputs: dict) -> dict:
+    bundle = build_bundle(cfg, inputs=inputs)
     seed = _require_seed(cfg)
     settings = _fit_settings(cfg, bundle.params, for_blocks=True)
     result = ibpf(bundle.model, bundle.data, bundle.grid, bundle.covs, settings, seed=seed)
     return _write_fit_outputs(out, result, bundle)
 
 
-def cmd_fit_traj(cfg: dict, out: Path) -> dict:
-    bundle = build_bundle(cfg)
+def cmd_fit_traj(cfg: dict, out: Path, inputs: dict) -> dict:
+    bundle = build_bundle(cfg, inputs=inputs)
     free = list(cfg["fit_traj"]["free"])
     result = trajectory_match(
         bundle.model, bundle.data, bundle.grid, bundle.covs, bundle.params, free
@@ -512,9 +496,8 @@ def cmd_fit_traj(cfg: dict, out: Path) -> dict:
     }
 
 
-def cmd_benchmark(cfg: dict, out: Path) -> dict:
-    inputs: dict[str, str] = {}
-    data = _load_cases(cfg, inputs)
+def cmd_benchmark(cfg: dict, out: Path, inputs: dict) -> dict:
+    data = io.load_cases(_data_path(cfg, "cases", "cases.csv", inputs))
     fit = fit_benchmark(data, per_unit=bool(cfg["benchmark"]["per_unit"]))
     io.write_table(
         out / "benchmark.csv",
@@ -534,24 +517,28 @@ def cmd_benchmark(cfg: dict, out: Path) -> dict:
     }
 
 
-def _profile_job(cfg: dict, parameter: str, value: float, seed: int) -> float:
-    """One clamped maximization; rebuilt from config so it can run in a worker."""
-    bundle = build_bundle(cfg)
+def _profile_job(cfg: dict, parameter: str, value: float, seed: int) -> tuple[float, dict]:
+    """One clamped maximization and the hashes of the files it read; rebuilt
+    from config so it can run in a worker."""
+    inputs: dict[str, str] = {}
+    bundle = build_bundle(cfg, inputs=inputs)
     if parameter not in bundle.params:
         raise ConfigError(f"profiled parameter {parameter!r} is not a model parameter")
     params = bundle.params.replace({parameter: value})
     method = cfg["profile"]["method"]
     if method == "traj":
         free = [p for p in cfg["fit_traj"]["free"] if p != parameter]
-        return trajectory_match(bundle.model, bundle.data, bundle.grid, bundle.covs, params, free).loglik
-    if method == "if2":
+        loglik = trajectory_match(bundle.model, bundle.data, bundle.grid, bundle.covs, params, free).loglik
+    elif method == "if2":
         rw = {k: v for k, v in cfg["fit"]["rw_sd"].items() if k != parameter}
         settings = _fit_settings({**cfg, "fit": {**cfg["fit"], "rw_sd": rw}}, params, False)
-        return if2(bundle.model, bundle.data, bundle.grid, bundle.covs, settings, seed=seed).best_loglik
-    raise ConfigError(f"unknown profile method {method!r} (expected 'if2' or 'traj')")
+        loglik = if2(bundle.model, bundle.data, bundle.grid, bundle.covs, settings, seed=seed).best_loglik
+    else:
+        raise ConfigError(f"unknown profile method {method!r} (expected 'if2' or 'traj')")
+    return loglik, inputs
 
 
-def cmd_profile(cfg: dict, out: Path) -> dict:
+def cmd_profile(cfg: dict, out: Path, inputs: dict) -> dict:
     pr = cfg["profile"]
     parameter = pr["parameter"]
     if not parameter:
@@ -566,9 +553,12 @@ def cmd_profile(cfg: dict, out: Path) -> dict:
     args = [(cfg, j.parameter, j.value, j.seed) for j in jobs]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            logliks = list(pool.map(_profile_job_star, args))
+            results = list(pool.map(_profile_job_star, args))
     else:
-        logliks = [_profile_job_star(a) for a in args]
+        results = [_profile_job_star(a) for a in args]
+    logliks = [ll for ll, _ in results]
+    for _, read in results:
+        inputs.update(read)
     rows = [
         [j.parameter, f"{j.value:.10g}", j.replicate, j.seed, f"{ll:.8g}"]
         for j, ll in zip(jobs, logliks)
@@ -586,20 +576,40 @@ def _profile_job_star(args):
     return _profile_job(*args)
 
 
-def cmd_mcap(cfg: dict, out: Path) -> dict:
+def _csv_rows(path: Path, required: tuple[str, ...], inputs: dict) -> list[tuple[int, dict]]:
+    """(line number, row) pairs of a CSV whose header names every ``required`` column."""
+    with _read_input(path, inputs).open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in required if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataFormatError(f"{path}: row 1: header lacks column(s) {missing}")
+        rows = []
+        for row in reader:
+            if None in row or None in row.values():
+                raise DataFormatError(
+                    f"{path}: row {reader.line_num}: expected {len(reader.fieldnames)} fields"
+                )
+            rows.append((reader.line_num, row))
+    return rows
+
+
+def _number(path: Path, line: int, row: dict, column: str) -> float:
+    try:
+        return float(row[column])
+    except ValueError:
+        raise DataFormatError(f"{path}: row {line}: {column} {row[column]!r} is not a number") from None
+
+
+def cmd_mcap(cfg: dict, out: Path, inputs: dict) -> dict:
     src = cfg["mcap"]["input"]
     if not src:
         raise ConfigError("mcap.input must point at a profile.csv")
     path = Path(src)
-    if not path.exists():
-        raise DataFormatError(f"{path}: file does not exist")
-    with path.open() as fh:
-        reader = csv.DictReader(fh)
-        values, logliks, names = [], [], set()
-        for row in reader:
-            names.add(row["parameter"])
-            values.append(float(row["value"]))
-            logliks.append(float(row["loglik"]))
+    values, logliks, names = [], [], set()
+    for line, row in _csv_rows(path, ("parameter", "value", "loglik"), inputs):
+        names.add(row["parameter"])
+        values.append(_number(path, line, row, "value"))
+        logliks.append(_number(path, line, row, "loglik"))
     curve = mcap_ci(
         np.array(values),
         np.array(logliks),
@@ -626,21 +636,19 @@ def cmd_mcap(cfg: dict, out: Path) -> dict:
     }
 
 
-def _load_candidates(path: str | Path, params: ParameterSet) -> list[tuple[ParameterSet, float]]:
+def _load_candidates(
+    path: str | Path, params: ParameterSet, inputs: dict
+) -> list[tuple[ParameterSet, float]]:
     """Rows of a candidates.csv (loglik + parameter columns) as parameter
     draws with likelihood weights, anchored on the given parameter set."""
     path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"{path}: file does not exist")
     out = []
-    with path.open() as fh:
-        for row in csv.DictReader(fh):
-            ll = float(row.pop("loglik"))
-            updates = {k: float(v) for k, v in row.items() if k in params}
-            unknown = [k for k in row if k not in params]
-            if unknown:
-                raise ConfigError(f"{path}: candidate columns {unknown} are not model parameters")
-            out.append((params.replace(updates), ll))
+    for line, row in _csv_rows(path, ("loglik",), inputs):
+        unknown = [k for k in row if k != "loglik" and k not in params]
+        if unknown:
+            raise ConfigError(f"{path}: candidate columns {unknown} are not model parameters")
+        updates = {k: _number(path, line, row, k) for k in row if k in params}
+        out.append((params.replace(updates), _number(path, line, row, "loglik")))
     if not out:
         raise DataFormatError(f"{path}: no candidate rows")
     return out
@@ -656,49 +664,33 @@ def _embed_states(old_model, new_model, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def cmd_forecast(cfg: dict, out: Path) -> dict:
-    bundle = build_bundle(cfg)
+def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
+    """Filter the bundle's model, then simulate that model, rebuilt with the
+    scenario's vaccine cohorts, forward from the final filtering particles.
+    model2 is deterministic and is projected from its start instead."""
+    bundle = build_bundle(cfg, inputs=inputs)
     fc = cfg["forecast"]
     seed = _require_seed(cfg)
     scenario_id = str(fc["scenario"])
     horizon = int(fc["horizon_weeks"])
     origin = bundle.grid.t_end
+    toy = bundle.model_id.startswith("toy:")
 
-    if bundle.model_id.startswith("toy:"):
-        pf = particle_filter(
-            bundle.model, bundle.params, bundle.data, bundle.grid, bundle.covs,
-            J=int(fc["J"]), seed=seed,
-        )
-        candidates = (
-            _load_candidates(fc["candidates"], bundle.params) if fc.get("candidates") else None
-        )
-        res = forecast_from_filter(
-            bundle.model, bundle.params, pf.filter_sample, scenario_id, bundle.covs,
-            origin, horizon, int(fc["n_sims"]), seed=seed + 1, window=int(fc["window"]),
-            euler_step=bundle.grid.euler_step, week_duration=1.0,
-            param_candidates=candidates,
-        )
-        return _write_forecast(out, res, bundle)
-
-    geo = bundle.geography
-    if cfg["data"]["scenario_file"]:
-        spec = io.load_scenario(
-            Path(cfg["data"]["scenario_file"]), scenario_id, bundle.origin_date, horizon
-        )
+    schedule = None
+    if not toy:
+        geo = bundle.geography
+        if cfg["data"]["scenario_file"]:
+            path = _read_input(Path(cfg["data"]["scenario_file"]), inputs)
+            spec = io.load_scenario(path, scenario_id, bundle.origin_date, horizon)
+        else:
+            spec = builtin_scenario(scenario_id, geo, horizon_weeks=horizon)
         schedule = apply_vaccination_scenario(spec, bundle.model_id, geo, origin=origin)
-    else:
-        spec = builtin_scenario(scenario_id, geo, horizon_weeks=horizon)
-        schedule = apply_vaccination_scenario(spec, bundle.model_id, geo, origin=origin)
+    model_fc = bundle.build_model(schedule)
 
-    inputs: dict[str, str] = {}
-    curve = _load_efficacy(cfg, inputs)
     if bundle.model_id == "model2":
-        model_fc = m2.build_model2(
-            np.nan_to_num(_load_cases(cfg, inputs, geo.n_units).values[:, 0]), geo, schedule=schedule
-        )
         proj = trajectory_projection(
             model_fc, bundle.params, scenario_id, bundle.covs, 0.0,
-            int(round(origin / WEEK)) + horizon,
+            int(round(origin / WEEK)) + horizon, euler_step=bundle.grid.euler_step,
         )
         keep = proj.times > origin + 1e-12
         io.write_table(
@@ -718,41 +710,19 @@ def cmd_forecast(cfg: dict, out: Path) -> dict:
             "notes": ["deterministic model: trajectories only, elimination probability not defined"],
         }
 
-    if bundle.model_id == "model3":
-        cases = _load_cases(cfg, inputs, geo.n_units)
-        median_rain = float(np.median(bundle.covs.rainfall)) if bundle.covs is not None else 0.002376
-        model_fc = m3.build_model3(
-            cases.values[:, :4], geo, schedule=schedule, curve=curve, median_rainfall=median_rain
-        )
-    elif bundle.model_id == "model1":
-        phase_break = None
-        if cfg["data"].get("phase_break_date") and bundle.start_date is not None:
-            phase_break = io.week_time(
-                bundle.start_date, io.parse_date(str(cfg["data"]["phase_break_date"]))
-            )
-        model_fc = m1.build_model1(
-            trend_window=(bundle.grid.t0, bundle.grid.t_end),
-            pop=float(bundle.params["pop"]),
-            schedule=schedule,
-            curve=curve,
-            phase_break=phase_break,
-        )
-    else:
-        raise ConfigError(f"forecast does not support model {bundle.model_id!r}")
-
     pf = particle_filter(
         bundle.model, bundle.params, bundle.data, bundle.grid, bundle.covs,
         J=int(fc["J"]), seed=seed, blocks=cfg["blocks"],
     )
     sample = _embed_states(bundle.model, model_fc, pf.filter_sample)
-    params_fc = _apply_param_overrides(model_fc.params, cfg["params"])
     candidates = (
-        _load_candidates(fc["candidates"], params_fc) if fc.get("candidates") else None
+        _load_candidates(fc["candidates"], bundle.params, inputs) if fc.get("candidates") else None
     )
     res = forecast_from_filter(
-        model_fc, params_fc, sample, scenario_id, bundle.covs,
+        model_fc, bundle.params, sample, scenario_id, bundle.covs,
         origin, horizon, int(fc["n_sims"]), seed=seed + 1, window=int(fc["window"]),
         euler_step=bundle.grid.euler_step, param_candidates=candidates,
+        week_duration=1.0 if toy else WEEK,
     )
     summary = _write_forecast(out, res, bundle)
     summary["filter_loglik"] = pf.loglik
@@ -810,11 +780,13 @@ def run_command(command: str, cfg: dict) -> int:
     """Execute one command; returns the process exit status."""
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
+    inputs: dict[str, str] = {}  # path -> SHA-256 of every file the command reads
     manifest = {
         "command": command,
         "config": cfg,
         "seed": cfg.get("seed"),
         "version": __version__,
+        "inputs": inputs,
         "started": dt.datetime.now().isoformat(timespec="seconds"),
         "status": "running",
         "partial": True,
@@ -823,7 +795,7 @@ def run_command(command: str, cfg: dict) -> int:
     try:
         if command in STOCHASTIC_COMMANDS:
             _require_seed(cfg)
-        summary = HANDLERS[command](cfg, out)
+        summary = HANDLERS[command](cfg, out, inputs)
         manifest["status"] = "ok"
         manifest["partial"] = False
         code = 0

@@ -3,8 +3,8 @@
 Implements the discrete-time schemes the stochastic models are built on:
 gamma-distributed white-noise increments, competing-hazard Euler-multinomial
 transitions (via a conditional-binomial decomposition), Poisson demographic
-inflows, exactly population-conserving death/birth balancing, and a
-fixed-step fourth-order Runge-Kutta integrator for deterministic skeletons.
+inflows, and a fixed-step fourth-order Runge-Kutta integrator for
+deterministic skeletons.
 
 Every model steps its compartments through these array kernels: one
 sampling code path, vectorized over particles and units, with no per-edge
@@ -129,30 +129,6 @@ def euler_multinomial(counts, rates, delta: float, rng: np.random.Generator) -> 
     if counts.size and counts.min() < 0:
         raise ValidationError("compartment counts must be nonnegative")
     return multinomial_flows(counts, exit_probabilities(rates, delta), rng)
-
-
-def balanced_demography_step(
-    counts: np.ndarray,
-    death_rates,
-    delta: float,
-    rng: np.random.Generator,
-    susceptible_index: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Death flows balanced one-for-one by births into the susceptible class.
-
-    ``counts`` (..., C) integers; ``death_rates`` broadcastable to it. Every
-    death is simultaneously a birth into column ``susceptible_index``, so the
-    per-row population is conserved exactly. Returns (new_counts, deaths).
-    """
-    counts = np.asarray(counts)
-    rates = np.broadcast_to(np.asarray(death_rates, dtype=float), counts.shape)
-    if np.any(rates < 0.0):
-        raise ValidationError("death rates must be nonnegative")
-    p = -np.expm1(-rates * delta)
-    deaths = rng.binomial(counts.astype(np.int64), p)
-    out = counts - deaths
-    out[..., susceptible_index] += deaths.sum(axis=-1)
-    return out, deaths
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,6 @@ def per_week(rate: float) -> float:
     return rate * WEEKS_PER_YEAR
 
 
-def per_year(rate: float) -> float:
-    """Identity, for symmetry when tabulating conversions."""
-    return rate
-
-
 def weekly_variance(sigma2_wk: float) -> float:
     """Convert a white-noise infinitesimal variance from weeks to years.
 

@@ -1,15 +1,17 @@
 """Forecast and profile paths of the CLI on the built-in cholera models:
-scenario files, cohort embedding, deterministic projections, and
-worker-count independence."""
+scenario files, cohort embedding, deterministic projections, the model a
+forecast simulates, and worker-count independence."""
 
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epipomp.cli import bundled_path, main
-from epipomp.forecast import forecast_from_filter
+from epipomp.cli import DEFAULTS, build_bundle, bundled_path, deep_merge, main, parse_set
+from epipomp.forecast import forecast_from_filter, trajectory_projection
+from epipomp.haiti import apply_vaccination_scenario, builtin_scenario
 from epipomp.model import simulate
 from epipomp.filtering import particle_filter
 from epipomp.toys import sir_model, toy_grid
@@ -69,6 +71,82 @@ class TestModelForecasts:
         assert header == ["week", "department", "mean_reported", "lower", "upper"]
         first = rows[1].split(",")
         assert float(first[4]) >= float(first[3])  # upper >= lower
+
+
+class TestForecastSimulatesTheFilteredModel:
+    """V0 adds no vaccine cohorts to model1 or model3, so the CLI forecast must
+    simulate the very model ``build_bundle`` built and the filter ran on."""
+
+    @staticmethod
+    def run_sets(command, seed, out, sets) -> int:
+        argv = [command, "--seed", str(seed), "--out", str(out)]
+        for item in sets:
+            argv += ["--set", item]
+        return run(*argv)
+
+    @pytest.mark.parametrize("model", ["model1", "model3"])
+    def test_v0_forecast_equals_forecast_from_the_bundle_model(self, tmp_path, model):
+        seed, J, n_sims, horizon = 7, 50, 10, 104
+        sets = [
+            f"model={model}", "forecast.scenario=V0", f"data.weeks={WEEKS}",
+            f"forecast.J={J}", f"forecast.n_sims={n_sims}", f"forecast.horizon_weeks={horizon}",
+        ]
+        assert self.run_sets("forecast", seed, tmp_path, sets) == 0
+
+        bundle = build_bundle(deep_merge(DEFAULTS, parse_set(sets)))
+        pf = particle_filter(
+            bundle.model, bundle.params, bundle.data, bundle.grid, bundle.covs, J=J, seed=seed
+        )
+        res = forecast_from_filter(
+            bundle.model, bundle.params, pf.filter_sample, "V0", bundle.covs,
+            bundle.grid.t_end, horizon, n_sims, seed=seed + 1, window=52,
+            euler_step=bundle.grid.euler_step,
+        )
+        true_inf, reported = res.true_infections.sum(axis=2), res.reported.sum(axis=2)
+        expected = [
+            [s, h + 1, true_inf[s, h], reported[s, h]]
+            for s in range(n_sims)
+            for h in range(horizon)
+        ]
+        with (tmp_path / "forecast.csv").open() as fh:
+            rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+        assert rows == expected
+
+    def test_model2_projection_uses_the_grid_euler_step(self, tmp_path):
+        horizon = 52
+        sets = [
+            "model=model2", "forecast.scenario=V1", f"data.weeks={WEEKS}",
+            f"forecast.horizon_weeks={horizon}", "grid.euler_days=0.5",
+        ]
+        assert self.run_sets("forecast", 1, tmp_path, sets) == 0
+
+        bundle = build_bundle(deep_merge(DEFAULTS, parse_set(sets)))
+        origin, geo = bundle.grid.t_end, bundle.geography
+        schedule = apply_vaccination_scenario(
+            builtin_scenario("V1", geo, horizon_weeks=horizon), "model2", geo, origin=origin
+        )
+        model = bundle.build_model(schedule)
+        # the projection starts at week 0; the CLI prints the weeks after the fit
+        fitted_weeks = bundle.data.n_obs
+        projections = [
+            trajectory_projection(
+                model, bundle.params, "V1", None, 0.0, fitted_weeks + horizon, euler_step=step
+            )
+            for step in (bundle.grid.euler_step, 2.0 * bundle.grid.euler_step)
+        ]
+        half_day, one_day = [
+            [
+                [str(n), u, f"{p.mean_reported[i, ui]:.6g}", f"{p.lower[i, ui]:.6g}",
+                 f"{p.upper[i, ui]:.6g}"]
+                for n, i in enumerate(range(fitted_weeks, fitted_weeks + horizon))
+                for ui, u in enumerate(p.units)
+            ]
+            for p in projections
+        ]
+        with (tmp_path / "projection.csv").open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == half_day
+        assert rows != one_day  # the step changes the printed projection
 
 
 class TestToyForecastWithCandidates:

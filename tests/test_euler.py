@@ -1,6 +1,6 @@
 """Kernel-level checks of the stochastic integration schemes against
 closed-form oracles: gamma-increment moments, Euler-multinomial competing
-hazards, Poisson inflows, balanced demography, and RK4."""
+hazards, Poisson inflows, and RK4."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from epipomp.errors import ValidationError
 from epipomp.euler import (
-    balanced_demography_step,
     euler_multinomial,
     gamma_increment,
     poisson_inflow,
@@ -175,32 +174,6 @@ class TestPoissonInflow:
     def test_negative_rate_rejected(self, rng):
         with pytest.raises(ValidationError):
             poisson_inflow(-1.0, 0.1, rng)
-
-
-class TestBalancedDemography:
-    def test_zero_death_rates_change_nothing(self, rng):
-        counts = np.array([[100, 50, 25]])
-        out, deaths = balanced_demography_step(counts, 0.0, 1.0, rng)
-        assert np.array_equal(out, counts)
-        assert deaths.sum() == 0
-
-    def test_population_exactly_conserved_at_table_death_rate(self, rng):
-        # delta_d = 1.59e-2 / yr over one year of daily steps
-        counts = np.array([[400, 300, 300]])  # S, I, R with Pop = 1000
-        start_susceptible = counts[0, 0]
-        moved = 0
-        for _ in range(365):
-            counts, deaths = balanced_demography_step(counts, 1.59e-2, 1.0 / 365.0, rng)
-            moved += deaths[0, 1:].sum()
-            assert counts.sum() == 1000
-        assert counts[0, 0] >= start_susceptible  # deaths from non-S classes enter S
-        assert counts[0, 0] == start_susceptible + (1000 - 400) - counts[0, 1:].sum()
-
-    def test_extreme_death_rate_still_conserves(self, rng):
-        counts = np.array([[0, 1000, 0]])
-        out, _ = balanced_demography_step(counts, 500.0, 0.1, rng)
-        assert out.sum() == 1000
-        assert out[0, 0] > 0
 
 
 class TestDeterministic:

@@ -1,6 +1,7 @@
 """CSV ingestion contracts and the command-line pipeline: round trips,
 validation messages, config precedence, reproducibility, and manifests."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -188,6 +189,9 @@ class TestCliPipeline:
         assert "filter.csv" in manifest["outputs"]
         assert manifest["config"]["filter"]["J"] == 20
         assert manifest["version"]
+        assert manifest["inputs"] == {
+            str(toy_cases): hashlib.sha256(toy_cases.read_bytes()).hexdigest()
+        }
 
     def test_data_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -197,6 +201,54 @@ class TestCliPipeline:
             "--set", "model=toy:sir", "--set", f"data.cases={bad}",
         )
         assert code == 3
+
+    def test_missing_input_file_is_a_data_error(self, tmp_path):
+        missing = tmp_path / "absent.csv"
+        code = self.run(
+            "filter", "--seed", "1", "--out", str(tmp_path / "e"),
+            "--set", "model=toy:sir", "--set", f"data.cases={missing}",
+        )
+        assert code == 3
+        summary = json.loads((tmp_path / "e" / "summary.json").read_text())
+        assert summary["error"].startswith(f"{missing}: cannot read")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("parameter,value,loglik\nbeta,1.5,-10.0\nbeta,2.0,abc\n",
+             "row 3: loglik 'abc' is not a number"),
+            ("parameter,value\nbeta,1.5\n", "row 1: header lacks column(s) ['loglik']"),
+        ],
+        ids=["non-numeric", "missing-column"],
+    )
+    def test_malformed_mcap_input_is_a_data_error(self, tmp_path, text, message):
+        path = write(tmp_path / "profile.csv", text)
+        out = tmp_path / "m"
+        code = self.run("mcap", "--out", str(out), "--set", f"mcap.input={path}")
+        assert code == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("loglik,beta\n-100.0,1.8\nabc,2.2\n", "row 3: loglik 'abc' is not a number"),
+            ("beta,gamma\n1.8,1.0\n", "row 1: header lacks column(s) ['loglik']"),
+        ],
+        ids=["non-numeric", "missing-column"],
+    )
+    def test_malformed_candidates_file_is_a_data_error(self, tmp_path, toy_cases, text, message):
+        path = write(tmp_path / "candidates.csv", text)
+        out = tmp_path / "fc"
+        code = self.run(
+            "forecast", "--seed", "1", "--out", str(out),
+            "--set", "model=toy:sir", "--set", f"data.cases={toy_cases}",
+            "--set", f"forecast.candidates={path}", "--set", "forecast.J=10",
+            "--set", "forecast.n_sims=2", "--set", "forecast.horizon_weeks=52",
+        )
+        assert code == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == f"{path}: {message}"
 
     def test_profile_then_mcap_pipeline(self, tmp_path, toy_cases):
         out1 = tmp_path / "prof"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import dataclasses
 import datetime as dt
 import hashlib
@@ -35,7 +34,7 @@ from .benchmark import fit_benchmark
 from .errors import ConfigError, CoverageError, DataFormatError, EpipompError, ValidationError
 from .filtering import particle_filter
 from .forecast import forecast_from_filter, trajectory_projection
-from .grid import TimeGrid
+from .grid import TimeGrid, weekly_grid
 from .haiti import (
     GeographyData,
     VaccinationSchedule,
@@ -232,10 +231,6 @@ def _subset_weeks(cfg: dict, data: ObservationSeries, grid: TimeGrid):
     return data.subset(a, b), sub_grid
 
 
-def _weekly_grid(t0: float, n_obs: int, euler_step: float) -> TimeGrid:
-    return TimeGrid(t0=t0, obs_times=t0 + np.arange(1, n_obs + 1) * WEEK, euler_step=euler_step)
-
-
 def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | None = None) -> Bundle:
     """The configured model with its data, grid and covariates.
 
@@ -259,7 +254,7 @@ def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | Non
         expected_units=None if model_id == "model1" else geo.n_units,
     )
     start_date = io.parse_date(cases.dates[0])
-    euler_step = float(cfg["grid"]["euler_days"]) * WEEK / 7.0
+    euler_days = float(cfg["grid"]["euler_days"])
     covs = None
 
     if model_id == "model3":
@@ -277,7 +272,7 @@ def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | Non
             )
 
         data = cases.subset(init_weeks, cases.n_obs)
-        grid = _weekly_grid((init_weeks - 1) * WEEK, data.n_obs, euler_step)
+        grid = weekly_grid(data.n_obs, (init_weeks - 1) * WEEK, euler_days)
     elif model_id == "model2":
         init_cases = np.nan_to_num(cases.values[:, 0])
 
@@ -285,10 +280,10 @@ def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | Non
             return m2.build_model2(init_cases, geo, schedule=schedule)
 
         data = cases.subset(1, cases.n_obs)
-        grid = _weekly_grid(0.0, data.n_obs, euler_step)
+        grid = weekly_grid(data.n_obs, 0.0, euler_days)
     else:
         data = cases.aggregate() if cases.n_units > 1 else cases
-        grid = _weekly_grid(0.0, data.n_obs, euler_step)
+        grid = weekly_grid(data.n_obs, 0.0, euler_days)
         # the trend is anchored on the whole series, before any weeks subset
         trend_window = (grid.t0, grid.t_end)
         pop = float(np.sum(geo.populations))
@@ -576,40 +571,16 @@ def _profile_job_star(args):
     return _profile_job(*args)
 
 
-def _csv_rows(path: Path, required: tuple[str, ...], inputs: dict) -> list[tuple[int, dict]]:
-    """(line number, row) pairs of a CSV whose header names every ``required`` column."""
-    with _read_input(path, inputs).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in required if c not in (reader.fieldnames or ())]
-        if missing:
-            raise DataFormatError(f"{path}: row 1: header lacks column(s) {missing}")
-        rows = []
-        for row in reader:
-            if None in row or None in row.values():
-                raise DataFormatError(
-                    f"{path}: row {reader.line_num}: expected {len(reader.fieldnames)} fields"
-                )
-            rows.append((reader.line_num, row))
-    return rows
-
-
-def _number(path: Path, line: int, row: dict, column: str) -> float:
-    try:
-        return float(row[column])
-    except ValueError:
-        raise DataFormatError(f"{path}: row {line}: {column} {row[column]!r} is not a number") from None
-
-
 def cmd_mcap(cfg: dict, out: Path, inputs: dict) -> dict:
     src = cfg["mcap"]["input"]
     if not src:
         raise ConfigError("mcap.input must point at a profile.csv")
-    path = Path(src)
+    path = _read_input(Path(src), inputs)
     values, logliks, names = [], [], set()
-    for line, row in _csv_rows(path, ("parameter", "value", "loglik"), inputs):
+    for line, row in io.read_csv(path, ["parameter", "value", "loglik"], exact=False):
         names.add(row["parameter"])
-        values.append(_number(path, line, row, "value"))
-        logliks.append(_number(path, line, row, "loglik"))
+        values.append(io.number(path, line, row, "value"))
+        logliks.append(io.number(path, line, row, "loglik"))
     curve = mcap_ci(
         np.array(values),
         np.array(logliks),
@@ -641,16 +612,14 @@ def _load_candidates(
 ) -> list[tuple[ParameterSet, float]]:
     """Rows of a candidates.csv (loglik + parameter columns) as parameter
     draws with likelihood weights, anchored on the given parameter set."""
-    path = Path(path)
+    path = _read_input(Path(path), inputs)
     out = []
-    for line, row in _csv_rows(path, ("loglik",), inputs):
+    for line, row in io.read_csv(path, ["loglik"], exact=False):
         unknown = [k for k in row if k != "loglik" and k not in params]
         if unknown:
             raise ConfigError(f"{path}: candidate columns {unknown} are not model parameters")
-        updates = {k: _number(path, line, row, k) for k in row if k in params}
-        out.append((params.replace(updates), _number(path, line, row, "loglik")))
-    if not out:
-        raise DataFormatError(f"{path}: no candidate rows")
+        updates = {k: io.number(path, line, row, k) for k in row if k in params}
+        out.append((params.replace(updates), io.number(path, line, row, "loglik")))
     return out
 
 
@@ -677,7 +646,12 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
     toy = bundle.model_id.startswith("toy:")
 
     schedule = None
-    if not toy:
+    if toy:
+        if scenario_id != "V0":
+            raise ConfigError(f"toy models have no vaccination: forecast.scenario must be V0, not {scenario_id!r}")
+        if cfg["data"]["scenario_file"]:
+            raise ConfigError("toy models have no vaccination: data.scenario_file must be unset")
+    else:
         geo = bundle.geography
         if cfg["data"]["scenario_file"]:
             path = _read_input(Path(cfg["data"]["scenario_file"]), inputs)

@@ -1,17 +1,21 @@
 """CSV ingestion and persistence for observed data, covariates, geography,
 efficacy curves, and vaccination scenarios.
 
-All inputs are plain CSV with headers. Case and rainfall files are long
-format (`date,department,value`) on a uniform weekly date grid; matrices are
-square with department names as header row and first column. Times map to
-model years as week-counts from a series origin (one week = 1/52.14 yr).
+Every input file is read by ``read_csv`` and every number in it parsed by
+``number``. ``read_csv`` checks the header on line 1, skips empty lines,
+rejects a row whose field count differs from the header's, and hands back each
+row with its line in the file; a malformed file raises DataFormatError naming
+the file and that line. Case and rainfall files are long format
+(`date,department,value`) on a uniform weekly date grid; a matrix has the
+header `department,<department names>` and one row per department. Times map
+to model years as week-counts from a series origin (one week = 1/52.14 yr).
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-from dataclasses import dataclass
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,62 +47,87 @@ def week_time(d0: dt.date, d1: dt.date) -> float:
     return weeks_between(d0, d1) * WEEK
 
 
-def _read_rows(path: str | Path, expected_header: Sequence[str]) -> list[dict[str, str]]:
+def read_csv(
+    path: str | Path, columns: Sequence[str], exact: bool = True
+) -> list[tuple[int, dict[str, str]]]:
+    """(line number, row) pairs of a CSV file, fields read verbatim.
+
+    The header on line 1 must be ``columns`` in order, or with ``exact=False``
+    must name at least ``columns``. Empty lines are skipped; every other row
+    must have as many fields as the header, and there must be at least one.
+    """
     path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"{path}: file does not exist")
-    with path.open(newline="") as fh:
+    try:
+        fh = path.open(newline="")
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if header != list(expected_header):
-            raise DataFormatError(
-                f"{path}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
-            )
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(f"{path}: row {i}: expected {len(header)} fields, got {len(row)}")
-            rows.append({h: c.strip() for h, c in zip(header, row)})
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{path}: empty file")
+            if exact and header != list(columns):
+                raise DataFormatError(
+                    f"{path}: row 1: expected header {','.join(columns)!r}, got {','.join(header)!r}"
+                )
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise DataFormatError(f"{path}: row 1: header lacks column(s) {missing}")
+            n = len(header)
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != n:
+                    raise DataFormatError(
+                        f"{path}: row {reader.line_num}: expected {n} fields, got {len(row)}"
+                    )
+                rows.append((reader.line_num, dict(zip(header, row))))
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: row {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not a text file: {exc}") from None
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
     return rows
+
+
+def number(path: str | Path, line: int, row: dict[str, str], column: str) -> float:
+    """``row[column]`` as a float, or a DataFormatError naming file and row."""
+    try:
+        return float(row[column])
+    except ValueError:
+        raise DataFormatError(f"{path}: row {line}: {column} {row[column]!r} is not a number") from None
 
 
 def _long_table(path: str | Path, value_col: str, integer: bool):
     """Read a long (date, department, value) table into a dense matrix."""
-    rows = _read_rows(path, ["date", "department", value_col])
-    seen: dict[tuple[str, str], int] = {}
+    seen: dict[tuple[dt.date, str], int] = {}
     dates: dict[dt.date, None] = {}
     depts: dict[str, None] = {}
     parsed = []
-    for i, r in enumerate(rows, start=2):
-        d = parse_date(r["date"], str(path), i)
+    for line, r in read_csv(path, ["date", "department", value_col]):
+        d = parse_date(r["date"], str(path), line)
         dep = r["department"]
-        key = (r["date"], dep)
+        key = (d, dep)
         if key in seen:
             raise DataFormatError(
-                f"{path}: duplicate (date, department) = {key} at rows {seen[key]} and {i}"
+                f"{path}: duplicate (date, department) = ({d}, {dep}) at rows {seen[key]} and {line}"
             )
-        seen[key] = i
+        seen[key] = line
         dates[d] = None
         depts[dep] = None
         raw = r[value_col]
         if raw in MISSING_TOKENS:
             val = np.nan
         else:
-            try:
-                val = float(raw)
-            except ValueError:
-                raise DataFormatError(f"{path}: row {i}: bad value {raw!r}") from None
-            if val < 0:
-                raise DataFormatError(f"{path}: row {i}: negative value {val}")
+            val = number(path, line, r, value_col)
+            if not 0 <= val < math.inf:
+                raise DataFormatError(f"{path}: row {line}: {value_col} {raw!r} is negative or not finite")
             if integer and val != round(val):
-                raise DataFormatError(f"{path}: row {i}: non-integer count {val}")
-        parsed.append((d, dep, val, i))
+                raise DataFormatError(f"{path}: row {line}: non-integer count {val}")
+        parsed.append((d, dep, val))
     date_list = sorted(dates)
     gaps = [
         f"{a} -> {b}"
@@ -112,7 +141,7 @@ def _long_table(path: str | Path, value_col: str, integer: bool):
     index_u = {u: j for j, u in enumerate(dept_list)}
     mat = np.full((len(dept_list), len(date_list)), np.nan)
     filled = np.zeros(mat.shape, dtype=bool)
-    for d, dep, val, i in parsed:
+    for d, dep, val in parsed:
         mat[index_u[dep], index_d[d]] = val
         filled[index_u[dep], index_d[d]] = True
     if not filled.all():
@@ -158,61 +187,48 @@ def load_rainfall(path: str | Path):
 def load_geography(
     geo_path: str | Path, distance_path: str | Path, river_path: str | Path
 ) -> GeographyData:
-    rows = _read_rows(geo_path, ["department", "population", "density"])
+    """Departments, sorted by name, with their populations, densities and the
+    distance and river matrices, which list departments in geography order."""
     depts, pops, dens = [], [], []
-    for i, r in enumerate(rows, start=2):
+    for line, r in read_csv(geo_path, ["department", "population", "density"]):
         depts.append(r["department"])
-        try:
-            pops.append(float(r["population"]))
-            dens.append(float(r["density"]))
-        except ValueError:
-            raise DataFormatError(f"{geo_path}: row {i}: bad numeric value") from None
+        pops.append(number(geo_path, line, r, "population"))
+        dens.append(number(geo_path, line, r, "density"))
     order = np.argsort(depts)
-    depts = [depts[i] for i in order]
-    pops = np.array(pops)[order]
-    dens = np.array(dens)[order]
-    dist = load_matrix(distance_path, depts)
-    river = load_matrix(river_path, depts)
-    return GeographyData(tuple(depts), pops, dens, dist, river)
+    sort = np.ix_(order, order)
+    dist = load_matrix(distance_path, depts)[sort]
+    river = load_matrix(river_path, depts)[sort]
+    return GeographyData(
+        tuple(depts[i] for i in order), np.array(pops)[order], np.array(dens)[order], dist, river
+    )
 
 
 def load_matrix(path: str | Path, units: Sequence[str]) -> np.ndarray:
-    """Square matrix CSV with department names as header row and first column."""
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"{path}: file does not exist")
-    with path.open(newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
-    header = [c.strip() for c in rows[0][1:]]
-    if sorted(header) != sorted(units):
-        raise DataFormatError(f"{path}: header departments {header} do not match {list(units)}")
-    U = len(units)
-    mat = np.zeros((U, U))
-    seen = []
-    for r in rows[1:]:
-        name = r[0].strip()
-        if name not in units:
-            raise DataFormatError(f"{path}: unknown department {name!r}")
-        seen.append(name)
-        i = list(units).index(name)
-        for h, c in zip(header, r[1:]):
-            mat[i, list(units).index(h)] = float(c)
-    if sorted(seen) != sorted(units):
-        raise DataFormatError(f"{path}: missing rows for {sorted(set(units) - set(seen))}")
+    """Square matrix CSV with header ``department,<units>``, in that order, and
+    one row per unit, named in its first cell; rows may come in any order."""
+    index = {u: i for i, u in enumerate(units)}
+    mat = np.empty((len(units), len(units)))
+    seen: dict[str, int] = {}
+    for line, r in read_csv(path, ["department", *units]):
+        name = r["department"]
+        if name not in index:
+            raise DataFormatError(f"{path}: row {line}: unknown department {name!r}")
+        if name in seen:
+            raise DataFormatError(f"{path}: row {line}: department {name!r} repeats row {seen[name]}")
+        seen[name] = line
+        mat[index[name]] = [number(path, line, r, u) for u in units]
+    missing = [u for u in units if u not in seen]
+    if missing:
+        raise DataFormatError(f"{path}: missing rows for {missing}")
     return mat
 
 
 def load_efficacy(path: str | Path) -> EfficacyCurve:
-    rows = _read_rows(path, ["weeks_since", "efficacy_1dose", "efficacy_2dose"])
-    weeks, e1, e2 = [], [], []
-    for i, r in enumerate(rows, start=2):
-        try:
-            weeks.append(float(r["weeks_since"]))
-            e1.append(float(r["efficacy_1dose"]))
-            e2.append(float(r["efficacy_2dose"]))
-        except ValueError:
-            raise DataFormatError(f"{path}: row {i}: bad numeric value") from None
-    return EfficacyCurve(np.array(weeks), np.array(e1), np.array(e2))
+    columns = ["weeks_since", "efficacy_1dose", "efficacy_2dose"]
+    table = np.array(
+        [[number(path, line, r, c) for c in columns] for line, r in read_csv(path, columns)]
+    )
+    return EfficacyCurve(table[:, 0], table[:, 1], table[:, 2])
 
 
 def load_scenario(
@@ -221,27 +237,15 @@ def load_scenario(
     origin_date: dt.date,
     horizon_weeks: int = 520,
 ) -> ScenarioSpec:
-    """One scenario's campaign rows; starts are relative to ``origin_date``."""
-    rows = _read_rows(
-        path, ["scenario", "department", "start_date", "duration_weeks", "doses_1", "doses_2"]
-    )
+    """One scenario's campaign rows; starts are relative to ``origin_date``.
+    Every row is parsed, whichever scenario it belongs to."""
+    columns = ["scenario", "department", "start_date", "duration_weeks", "doses_1", "doses_2"]
     campaign_rows = []
-    for i, r in enumerate(rows, start=2):
-        if r["scenario"] != scenario_id:
-            continue
-        start = week_time(origin_date, parse_date(r["start_date"], str(path), i))
-        try:
-            campaign_rows.append(
-                CampaignRow(
-                    department=r["department"],
-                    start=start,
-                    duration_weeks=float(r["duration_weeks"]),
-                    doses_1=float(r["doses_1"]),
-                    doses_2=float(r["doses_2"]),
-                )
-            )
-        except ValueError:
-            raise DataFormatError(f"{path}: row {i}: bad numeric value") from None
+    for line, r in read_csv(path, columns):
+        start = week_time(origin_date, parse_date(r["start_date"], str(path), line))
+        duration, doses_1, doses_2 = (number(path, line, r, c) for c in columns[3:])
+        if r["scenario"] == scenario_id:
+            campaign_rows.append(CampaignRow(r["department"], start, duration, doses_1, doses_2))
     return ScenarioSpec(scenario_id, tuple(campaign_rows), horizon_weeks)
 
 

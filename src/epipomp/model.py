@@ -192,9 +192,6 @@ class SimulationResult:
         is_counts = bool(np.all(present >= 0) and np.all(present == np.round(present)))
         return ObservationSeries(self.units, obs, counts=is_counts)
 
-    def as_pairs(self) -> list[tuple[np.ndarray, ObservationSeries]]:
-        return [(self.states[i], self.observation_series(i)) for i in range(self.n_sims)]
-
 
 def simulate(
     model: PompModel,

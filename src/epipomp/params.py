@@ -117,9 +117,6 @@ class ParameterSet(Mapping[str, float]):
         return f"ParameterSet({body})"
 
     # Metadata ------------------------------------------------------------
-    def definition(self, name: str) -> ParamDef:
-        return self._entries[name]
-
     def transform_of(self, name: str) -> str:
         return self._entries[name].transform
 
@@ -149,11 +146,6 @@ class ParameterSet(Mapping[str, float]):
                 raise ValidationError(f"unknown parameter {k!r}")
             d = entries[k]
             entries[k] = ParamDef(float(v), d.transform, d.unit)
-        return ParameterSet(entries)
-
-    def adding(self, extra: Mapping[str, ParamDef]) -> "ParameterSet":
-        entries = dict(self._entries)
-        entries.update(extra)
         return ParameterSet(entries)
 
     def require(self, names: Iterable[str]) -> None:

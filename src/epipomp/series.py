@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -95,16 +95,13 @@ class CovariateTable:
     """Time-indexed covariates, piecewise constant over each reporting week.
 
     ``times`` are the week start times; a value row applies on
-    [times[k], times[k] + step). ``vaccination`` is any object exposing
-    ``rates_at(t) -> (U, Z) dosing rates`` and ``cohorts`` metadata (see
-    ``haiti.scenarios``); None means no vaccination.
+    [times[k], times[k] + step).
     """
 
     times: np.ndarray
     step: float = WEEK
     rainfall: np.ndarray | None = None
     units: tuple[str, ...] | None = None
-    vaccination: Any = None
     hurricane_time: float | None = None
 
     def __post_init__(self) -> None:

@@ -250,6 +250,26 @@ class TestCliPipeline:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["error"] == f"{path}: {message}"
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("forecast.scenario=V9", "forecast.scenario must be V0, not 'V9'"),
+            ("data.scenario_file=/nonexistent.csv", "data.scenario_file must be unset"),
+        ],
+        ids=["scenario", "scenario-file"],
+    )
+    def test_toy_forecast_rejects_vaccination_scenarios(self, tmp_path, toy_cases, setting, message):
+        out = tmp_path / "fc"
+        code = self.run(
+            "forecast", "--seed", "1", "--out", str(out),
+            "--set", "model=toy:sir", "--set", f"data.cases={toy_cases}", "--set", setting,
+            "--set", "forecast.J=10", "--set", "forecast.n_sims=2",
+            "--set", "forecast.horizon_weeks=52",
+        )
+        assert code == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"].endswith(message)
+
     def test_profile_then_mcap_pipeline(self, tmp_path, toy_cases):
         out1 = tmp_path / "prof"
         code = self.run(

@@ -7,9 +7,21 @@ import pytest
 from epipomp.errors import CoverageError, ValidationError
 from epipomp.grid import TimeGrid
 from epipomp.model import compile_theta, simulate
-from epipomp.params import ParamDef, ParameterSet
+from epipomp.params import ParameterSet
 from epipomp.series import CovariateTable
 from epipomp.toys import pure_death_model, sir_model, toy_grid
+
+
+def _rebuilt(params, drop=None, add=None):
+    """``params`` rebuilt through ParameterSet.build, less the entry ``drop``
+    and plus an entry of value 1 for ``add = (name, owning unit)``."""
+    names = [k for k in params if k != drop]
+    values = {k: params[k] for k in names}
+    transforms = {k: params.transform_of(k) for k in names}
+    units = {k: params.unit_of(k) for k in names}
+    if add is not None:
+        values[add[0]], units[add[0]] = 1.0, add[1]
+    return ParameterSet.build(values, transforms, units)
 
 
 class TestSimulate:
@@ -74,9 +86,7 @@ class TestSimulate:
 
     def test_missing_required_parameter_rejected_at_binding(self):
         m = sir_model()
-        incomplete = ParameterSet(
-            {k: m.params.definition(k) for k in m.params if k != "gamma"}
-        )
+        incomplete = _rebuilt(m.params, drop="gamma")
         with pytest.raises(ValidationError, match="gamma"):
             simulate(m, incomplete, toy_grid(5), n_sims=1, seed=0)
 
@@ -94,14 +104,12 @@ class TestCompileTheta:
         from epipomp.toys import metapop_model
 
         m = metapop_model(units=("a", "b"), pops=(100.0, 200.0))
-        bad = ParameterSet(
-            {k: m.params.definition(k) for k in m.params if k != "beta[b]"}
-        )
+        bad = _rebuilt(m.params, drop="beta[b]")
         with pytest.raises(ValidationError, match="beta"):
             compile_theta(m, bad)
 
     def test_unknown_unit_rejected(self):
         m = sir_model()
-        bad = m.params.adding({"x[elsewhere]": ParamDef(1.0, "identity", "elsewhere")})
+        bad = _rebuilt(m.params, add=("x[elsewhere]", "elsewhere"))
         with pytest.raises(ValidationError, match="elsewhere"):
             compile_theta(m, bad)

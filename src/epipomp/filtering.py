@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import TimeGrid
-from .model import PompModel, Theta, advance, compile_theta, make_rng
+from .model import PompModel, Theta, advance, check_covariates, compile_theta, make_rng
 from .params import ParameterSet
 from .series import CovariateTable, ObservationSeries
 
@@ -29,7 +29,8 @@ def logmeanexp(logw: np.ndarray) -> float:
     m = np.max(logw)
     if not np.isfinite(m):
         return float(m)
-    return float(m + np.log(np.mean(np.exp(logw - m))))
+    e = np.exp(logw - m)
+    return float(m + np.log(e.sum() / e.size))
 
 
 def effective_sample_size(logw: np.ndarray) -> float:
@@ -108,7 +109,6 @@ def particle_filter(
     block, the standard filter). Missing observations contribute zero to the
     measurement density and trigger no resampling at that time/unit.
     """
-    model.check_params(params)
     theta = compile_theta(model, params)
     return _filter_pass(
         model, theta, data, grid, covs, J, rng if rng is not None else make_rng(seed), blocks
@@ -122,11 +122,12 @@ def _filter_pass(
     grid: TimeGrid,
     covs: CovariateTable | None,
     J: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     blocks: Sequence[Sequence[str]] | None,
     swarm=None,
 ) -> PfResult:
-    """One propagate→weight→resample pass over the data.
+    """One propagate→weight→resample pass over the data. ``rng`` may be
+    ``None`` for a deterministic model at J=1, which never resamples.
 
     Every particle shares ``theta`` unless a parameter ``swarm`` is given
     (IF2/IBPF): ``swarm.theta()`` perturbs the per-particle parameters and
@@ -144,10 +145,7 @@ def _filter_pass(
         raise ValidationError(
             f"data has {data.n_obs} observations but grid has {grid.n_obs}"
         )
-    if model.needs_covariates:
-        if covs is None:
-            raise ValidationError(f"model {model.name!r} requires covariates")
-        covs.check_span(grid.t0, grid.t_end)
+    check_covariates(model, covs, grid)
     block_cols = [np.array([model.units.index(u) for u in b]) for b in resolve_blocks(model, blocks)]
     unit_slices = model.unit_state_indices()
     block_states = [
@@ -164,13 +162,10 @@ def _filter_pass(
     block_ess = np.zeros((N, B))
     unit_cond = np.zeros((N, U))
     failed: list[int] = []
-    acc = model.accum_indices
 
     for n, (t_prev, t_next) in enumerate(grid.intervals()):
         if swarm is not None and n > 0:
             theta = swarm.theta()
-        if acc.size:
-            X[:, acc] = 0.0
         X = advance(model, X, t_prev, t_next, theta, covs, grid, rng)
         y = data.values[:, n]
         missing = np.isnan(y)

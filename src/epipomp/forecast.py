@@ -19,7 +19,7 @@ from scipy.special import ndtri
 from .errors import ValidationError
 from .filtering import sample_params_by_likelihood
 from .grid import TimeGrid
-from .model import PompModel, advance, compile_theta, make_rng
+from .model import PompModel, advance, check_covariates, compile_theta, make_rng
 from .params import ParameterSet
 from .series import CovariateTable
 from .units import WEEK
@@ -73,13 +73,21 @@ def elimination_probability(
     return float(np.sum(flags)) / n_sims, flags
 
 
+def _horizon_grid(
+    origin: float, horizon_weeks: int, euler_step: float | None, week_duration: float
+) -> TimeGrid:
+    """Weekly grid of ``horizon_weeks`` observations after ``origin``."""
+    if horizon_weeks < 1:
+        raise ValidationError("horizon must be at least one week")
+    times = origin + np.arange(1, horizon_weeks + 1) * week_duration
+    return TimeGrid(t0=origin, obs_times=times, euler_step=euler_step or week_duration / 7.0)
+
+
 def _stack_thetas(model: PompModel, draws: Sequence[ParameterSet]) -> dict:
     """Merge per-simulation parameter sets into per-particle theta arrays."""
-    n = len(draws)
-    base = compile_theta(model, draws[0])
-    out = dict(base)
     thetas = [compile_theta(model, d) for d in draws]
-    for name, v0 in base.items():
+    out = dict(thetas[0])
+    for name, v0 in thetas[0].items():
         if np.ndim(v0) == 0:
             col = np.array([t[name] for t in thetas])
             if np.ptp(col) > 0:
@@ -124,15 +132,8 @@ def forecast_from_filter(
         raise ValidationError(
             f"filter_sample has {sample.shape[1]} state columns, model expects {model.n_states}"
         )
-    if horizon_weeks < 1:
-        raise ValidationError("horizon must be at least one week")
-    times = origin + np.arange(1, horizon_weeks + 1) * week_duration
-    grid = TimeGrid(t0=origin, obs_times=times, euler_step=euler_step or week_duration / 7.0)
-    if model.needs_covariates:
-        if covs is None:
-            raise ValidationError(f"model {model.name!r} requires covariates")
-        covs.check_span(origin, float(times[-1]))
-    model.check_params(params)
+    grid = _horizon_grid(origin, horizon_weeks, euler_step, week_duration)
+    check_covariates(model, covs, grid)
 
     rng = make_rng(seed)
     start_idx = rng.integers(0, sample.shape[0], size=n_sims)
@@ -148,30 +149,23 @@ def forecast_from_filter(
     if model.true_infection_states and len(model.true_infection_states) != U:
         raise ValidationError("model must track one true-infection accumulator per unit")
     true_idx = model.indices(model.true_infection_states) if model.true_infection_states else None
-    acc = model.accum_indices
     true_inf = np.zeros((n_sims, horizon_weeks, U))
     reported = np.zeros((n_sims, horizon_weeks, U))
     latent = np.zeros((n_sims, horizon_weeks, model.n_states)) if retain_states else None
 
-    t_prev = origin
-    for h in range(horizon_weeks):
-        if acc.size:
-            X[:, acc] = 0.0
-        t_next = float(times[h])
+    for h, (t_prev, t_next) in enumerate(grid.intervals()):
         X = advance(model, X, t_prev, t_next, theta, covs, grid, rng)
         if true_idx is not None:
             true_inf[:, h, :] = X[:, true_idx]
-        if model.runit_measure is not None:
-            reported[:, h, :] = model.runit_measure(X, t_next, theta, rng)
+        reported[:, h, :] = model.runit_measure(X, t_next, theta, rng)
         if latent is not None:
             latent[:, h, :] = X
-        t_prev = t_next
 
     probability, flags = elimination_probability(true_inf, window=window)
     return ForecastResult(
         scenario=scenario,
         source=source,
-        times=times,
+        times=grid.obs_times,
         units=model.units,
         true_infections=true_inf,
         reported=reported,
@@ -215,13 +209,10 @@ def trajectory_projection(
     if model.stochastic:
         raise ValidationError("trajectory projection requires a deterministic model")
     z = float(ndtri(0.5 + level / 2.0))
-    times = origin + np.arange(1, horizon_weeks + 1) * week_duration
-    grid = TimeGrid(t0=origin, obs_times=times, euler_step=euler_step or week_duration / 7.0)
-    if model.needs_covariates and covs is not None:
-        covs.check_span(origin, float(times[-1]))
+    grid = _horizon_grid(origin, horizon_weeks, euler_step, week_duration)
+    check_covariates(model, covs, grid)
     theta = compile_theta(model, params)
     X = np.asarray(model.rinit(theta, 1, None), dtype=float)
-    acc = model.accum_indices
 
     if len(model.measured_states) != model.n_units:
         raise ValidationError("model must track one measured-incidence accumulator per unit")
@@ -232,20 +223,15 @@ def trajectory_projection(
     H, U = horizon_weeks, model.n_units
     mean_rep = np.zeros((H, U))
     latent = np.zeros((H, model.n_states))
-    t_prev = origin
-    for h in range(H):
-        if acc.size:
-            X[:, acc] = 0.0
-        t_next = float(times[h])
+    for h, (t_prev, t_next) in enumerate(grid.intervals()):
         X = advance(model, X, t_prev, t_next, theta, covs, grid, None)
         latent[h] = X[0]
         mean_rep[h] = rho * X[0, meas_idx]
-        t_prev = t_next
     lower = np.exp(np.log(mean_rep + 1.0) - z * psi) - 1.0
     upper = np.exp(np.log(mean_rep + 1.0) + z * psi) - 1.0
     return ProjectionResult(
         scenario=scenario,
-        times=times,
+        times=grid.obs_times,
         units=model.units,
         mean_reported=mean_rep,
         lower=lower,

@@ -238,7 +238,8 @@ def load_scenario(
     horizon_weeks: int = 520,
 ) -> ScenarioSpec:
     """One scenario's campaign rows; starts are relative to ``origin_date``.
-    Every row is parsed, whichever scenario it belongs to."""
+    Every row is parsed, whichever scenario it belongs to. A scenario id
+    without rows is an error, except V0, which has no campaigns."""
     columns = ["scenario", "department", "start_date", "duration_weeks", "doses_1", "doses_2"]
     campaign_rows = []
     for line, r in read_csv(path, columns):
@@ -246,6 +247,8 @@ def load_scenario(
         duration, doses_1, doses_2 = (number(path, line, r, c) for c in columns[3:])
         if r["scenario"] == scenario_id:
             campaign_rows.append(CampaignRow(r["department"], start, duration, doses_1, doses_2))
+    if not campaign_rows and scenario_id != "V0":
+        raise DataFormatError(f"{path}: no rows for scenario {scenario_id!r}")
     return ScenarioSpec(scenario_id, tuple(campaign_rows), horizon_weeks)
 
 

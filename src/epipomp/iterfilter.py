@@ -280,7 +280,6 @@ def _iterated_filter(
     seed: int,
 ) -> If2Result:
     params = settings.initial if settings.initial is not None else model.params
-    model.check_params(params)
     J, M, B = settings.J, settings.M, len(blocks)
     fixed = compile_theta(model, params)
     layout = _expand_search(model, params, settings.rw_sd, blocks)

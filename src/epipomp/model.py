@@ -6,14 +6,14 @@ variables). All model functions are vectorized over a leading particle axis:
 states are (J, S) arrays, and parameter values passed to them are floats or
 2-d arrays broadcastable against (J, U) blocks (see :func:`compile_theta`).
 
-Accumulator state variables (weekly incidence trackers) are zeroed
-immediately after each observation time; the recorded trajectory keeps the
-accumulated value at each observation.
+Accumulator state variables (weekly incidence trackers) are zeroed by
+:func:`advance` at the start of each observation interval; the recorded
+trajectory keeps the accumulated value at each observation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -52,7 +52,7 @@ class PompModel:
     rinit: Callable[[Theta, int, np.random.Generator | None], np.ndarray]
     step: Callable[..., np.ndarray]
     dunit_measure: Callable[..., np.ndarray]
-    runit_measure: Callable[..., np.ndarray] | None = None
+    runit_measure: Callable[..., np.ndarray]
     accumulators: tuple[str, ...] = ()
     true_infection_states: tuple[str, ...] = ()
     measured_states: tuple[str, ...] = ()
@@ -60,10 +60,12 @@ class PompModel:
     needs_covariates: bool = False
     unit_states: tuple[tuple[str, ...], ...] | None = None
     validate_params: Callable[[ParameterSet], None] | None = None
+    _position: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(set(self.state_names)) != len(self.state_names):
             raise ValidationError("duplicate state names")
+        object.__setattr__(self, "_position", {n: i for i, n in enumerate(self.state_names)})
         for a in self.accumulators + self.true_infection_states + self.measured_states:
             if a not in self.state_names:
                 raise ValidationError(f"accumulator {a!r} is not a state variable")
@@ -77,10 +79,10 @@ class PompModel:
         return len(self.units)
 
     def state_index(self, name: str) -> int:
-        return self.state_names.index(name)
+        return self._position[name]
 
     def indices(self, names: Sequence[str]) -> np.ndarray:
-        return np.array([self.state_names.index(n) for n in names], dtype=int)
+        return np.array([self._position[n] for n in names], dtype=int)
 
     @property
     def accum_indices(self) -> np.ndarray:
@@ -103,12 +105,14 @@ class PompModel:
 
 
 def compile_theta(model: PompModel, params: ParameterSet) -> dict[str, Any]:
-    """Flatten a ParameterSet into the value mapping passed to model functions.
+    """Check a ParameterSet with :meth:`PompModel.check_params` and flatten it
+    into the value mapping passed to model functions.
 
     Shared entries become floats; unit-specific families become (1, U) arrays
     ordered like ``model.units``. Validates family completeness and unit
     names against the model.
     """
+    model.check_params(params)
     units = list(model.units)
     theta: dict[str, Any] = {}
     families: dict[str, dict[str, float]] = {}
@@ -155,7 +159,12 @@ def advance(
     grid: TimeGrid,
     rng: np.random.Generator | None,
 ) -> np.ndarray:
-    """Propagate particles from t_from to t_to in equal Euler substeps."""
+    """One observation interval: zero the accumulators of ``X`` in place, then
+    propagate the particles from t_from to t_to in equal Euler substeps, so
+    that the accumulators hold the interval's totals at t_to."""
+    acc = model.accum_indices
+    if acc.size:
+        X[:, acc] = 0.0
     n, h = grid.substeps(t_from, t_to)
     for k in range(n):
         X = model.step(X, t_from + k * h, h, theta, covs, rng)
@@ -193,6 +202,14 @@ class SimulationResult:
         return ObservationSeries(self.units, obs, counts=is_counts)
 
 
+def check_covariates(model: PompModel, covs: CovariateTable | None, grid: TimeGrid) -> None:
+    """Require covariates spanning [grid.t0, grid.t_end] when the model reads them."""
+    if model.needs_covariates:
+        if covs is None:
+            raise ValidationError(f"model {model.name!r} requires covariates")
+        covs.check_span(grid.t0, grid.t_end)
+
+
 def simulate(
     model: PompModel,
     params: ParameterSet,
@@ -209,11 +226,7 @@ def simulate(
     """
     if n_sims < 1:
         raise ValidationError("n_sims must be >= 1")
-    model.check_params(params)
-    if model.needs_covariates:
-        if covs is None:
-            raise ValidationError(f"model {model.name!r} requires covariates")
-        covs.check_span(grid.t0, grid.t_end)
+    check_covariates(model, covs, grid)
     theta = compile_theta(model, params)
     rng = make_rng(seed)
     X = np.asarray(model.rinit(theta, n_sims, rng), dtype=float)
@@ -225,14 +238,9 @@ def simulate(
     states = np.empty((n_sims, n_obs + 1, model.n_states))
     observations = np.empty((n_sims, n_obs, model.n_units))
     states[:, 0] = X
-    acc = model.accum_indices
     for n, (t_prev, t_next) in enumerate(grid.intervals()):
-        if acc.size:
-            X[:, acc] = 0.0
         X = advance(model, X, t_prev, t_next, theta, covs, grid, rng)
         states[:, n + 1] = X
-        if model.runit_measure is None:
-            raise ValidationError(f"model {model.name!r} has no measurement sampler")
         observations[:, n] = model.runit_measure(X, t_next, theta, rng)
     return SimulationResult(
         model_name=model.name,

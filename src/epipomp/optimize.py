@@ -4,7 +4,8 @@ Trajectory matching maximizes the measurement log-density of a deterministic
 skeleton over free parameters on the estimation scale, using a restarted
 Nelder-Mead simplex (the restart-until-no-improvement scheme plays the role
 of subplex: repeated simplex solves from the incumbent defeat premature
-collapse of the simplex).
+collapse of the simplex). The skeleton is scored by the particle filter's
+pass at one particle, with the pass's checks and missing-data rule.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from .errors import ValidationError
+from .filtering import _filter_pass
 from .grid import TimeGrid
+# ``advance`` is unused here but stays bound: the benchmark tracer
+# (perfbench/tracer.py) patches it as an attribute of this module.
 from .model import PompModel, advance, compile_theta
 from .params import ParameterSet
 from .series import CovariateTable, ObservationSeries
@@ -67,22 +71,14 @@ def deterministic_loglik(
     grid: TimeGrid,
     covs: CovariateTable | None = None,
 ) -> float:
-    """Measurement log-density summed along the deterministic skeleton."""
-    theta = compile_theta(model, params)
-    X = np.asarray(model.rinit(theta, 1, None), dtype=float)
-    acc = model.accum_indices
-    total = 0.0
-    for n, (t_prev, t_next) in enumerate(grid.intervals()):
-        if acc.size:
-            X[:, acc] = 0.0
-        X = advance(model, X, t_prev, t_next, theta, covs, grid, None)
-        y = data.values[:, n]
-        missing = np.isnan(y)
-        if missing.all():
-            continue
-        logw = np.asarray(model.dunit_measure(np.where(missing, 0.0, y), X, t_next, theta))
-        total += float(logw[0, ~missing].sum())
-    return total
+    """Measurement log-density summed along the deterministic skeleton, with
+    missing entries adding zero.
+
+    This is the filter's pass at one particle. One particle has no weight
+    spread, so the pass never resamples and draws nothing: it runs with
+    ``rng=None``. It checks the data's units and length and the covariates.
+    """
+    return _filter_pass(model, compile_theta(model, params), data, grid, covs, 1, None, None).loglik
 
 
 @dataclass
@@ -110,7 +106,6 @@ def trajectory_match(
     if model.stochastic:
         raise ValidationError("trajectory matching requires a deterministic skeleton")
     params = params if params is not None else model.params
-    model.check_params(params)
     free = list(free)
     if not free:
         return TrajMatchResult(params, deterministic_loglik(model, params, data, grid, covs), 0, 0)

@@ -3,12 +3,14 @@ scenario files, cohort embedding, deterministic projections, the model a
 forecast simulates, and worker-count independence."""
 
 import csv
+import datetime as dt
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from epipomp import io
 from epipomp.cli import DEFAULTS, build_bundle, bundled_path, deep_merge, main, parse_set
 from epipomp.forecast import forecast_from_filter, trajectory_projection
 from epipomp.haiti import apply_vaccination_scenario, builtin_scenario
@@ -41,6 +43,20 @@ class TestModelForecasts:
         assert 0.0 <= summary["elimination_probability"] <= 1.0
         assert (out / "forecast.csv").exists()
         assert (out / "elimination.csv").exists()
+
+    def test_unknown_scenario_in_scenario_file_is_a_data_error(self, tmp_path):
+        out = tmp_path / "v9"
+        path = bundled_path("scenarios.csv")
+        code = run(
+            "forecast", "--seed", "21", "--out", str(out),
+            "--set", "model=model3", "--set", f"data.scenario_file={path}",
+            "--set", "forecast.scenario=V9", "--set", f"data.weeks={WEEKS}",
+        )
+        assert code == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"].startswith(f"{path}: no rows for scenario 'V9'")
+        # V0 is the scenario without campaigns, with or without rows
+        assert io.load_scenario(path, "V0", dt.date(2019, 1, 5)).rows == ()
 
     def test_model1_builtin_scenario_with_cohort_embedding(self, tmp_path):
         out = tmp_path / "m1"

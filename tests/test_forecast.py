@@ -56,6 +56,16 @@ class TestEliminationPredicate:
         x = (rng.random(120) < 0.12).astype(float) * rng.integers(1, 4, size=120)
         assert (longest_zero_run(x) >= window) == brute_force_eliminates(x, window)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(5, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_per_unit_arrays_match_brute_force_on_national_sums(self, seed, n_units, window):
+        rng = np.random.Generator(np.random.Philox(seed))
+        arr = (rng.random((4, 80, n_units)) < 0.04).astype(float) * rng.integers(1, 4, size=(4, 80, n_units))
+        p, flags = elimination_probability(arr, window=window)
+        brute = [brute_force_eliminates(arr[i].sum(axis=1), window) for i in range(4)]
+        assert list(flags) == brute
+        assert p == sum(brute) / 4
+
     def test_national_sum_across_units(self):
         # unit-level zeros do not eliminate if another unit stays infected
         arr = np.zeros((1, 60, 2))
@@ -70,12 +80,12 @@ class TestForecastFromFilter:
         sample = np.tile(np.array([[50.0, 0.0]]), (10, 1))
         res = forecast_from_filter(
             m, m.params, sample, "V0", None, origin=0.0, horizon_weeks=60,
-            n_sims=6, seed=1, euler_step=0.5, week_duration=1.0,
+            n_sims=6, seed=1, euler_step=0.5, week_duration=1.0, retain_states=True,
         )
         for s in range(1, 6):
-            np.testing.assert_array_equal(res.latent if res.latent is not None else res.true_infections[s],
-                                          res.latent if res.latent is not None else res.true_infections[s])
-        assert np.all(res.true_infections == res.true_infections[0])
+            np.testing.assert_array_equal(res.latent[s], res.latent[0])
+        infected = res.latent[0, :, m.state_index("I")]
+        assert infected[0] < 50.0 and np.all(np.diff(infected) < 0)
 
     def test_zero_transmission_always_eliminates(self):
         m = sir_model()

@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epipomp.errors import ValidationError
-from epipomp.model import simulate
+from epipomp.grid import weekly_grid
+from epipomp.haiti.geography import GeographyData
+from epipomp.haiti.model2 import build_model2
+from epipomp.model import compile_theta, simulate
 from epipomp.optimize import deterministic_loglik, restarted_nelder_mead, trajectory_match
+from epipomp.series import ObservationSeries
 from epipomp.toys import pure_death_model, sir_model, toy_grid
 
 
@@ -75,3 +81,95 @@ class TestDeterministicLoglik:
         direct = deterministic_loglik(m, m.params, data, g, None)
         pf = particle_filter(m, m.params, data, g, J=1, seed=9)
         assert direct == pytest.approx(pf.loglik, abs=1e-12)
+
+
+class TestSkeletonChecks:
+    """The skeleton runs the filter's pass, so it takes the pass's checks:
+    one observation per grid time and the model's units."""
+
+    @pytest.fixture(scope="class")
+    def sir_det(self):
+        m = sir_model(stochastic=False, name="toy:sir-det")
+        data = simulate(m, m.params, toy_grid(10), n_sims=1, seed=0).observation_series(0)
+        return m, data
+
+    @pytest.mark.parametrize("case", ["data-longer-than-grid", "data-shorter-than-grid", "two-units"])
+    @pytest.mark.parametrize("fit", [False, True], ids=["loglik", "trajectory-match"])
+    def test_mismatched_data_rejected(self, sir_det, case, fit):
+        m, data = sir_det
+        grid = toy_grid(10)
+        if case == "data-longer-than-grid":
+            grid = toy_grid(5)
+        elif case == "data-shorter-than-grid":
+            data = data.subset(0, 5)
+        else:
+            data = ObservationSeries(("a", "b"), np.vstack([data.values, data.values]))
+        with pytest.raises(ValidationError, match="observations but grid|do not match model units"):
+            if fit:
+                trajectory_match(m, data, grid, None, m.params, free=["beta"])
+            else:
+                deterministic_loglik(m, m.params, data, grid, None)
+
+
+def _three_unit_model2():
+    geo = GeographyData(
+        ("a", "b", "c"),
+        np.array([4e5, 2e5, 1e5]),
+        np.array([300.0, 150.0, 80.0]),
+        np.array([[0.0, 60.0, 120.0], [60.0, 0.0, 90.0], [120.0, 90.0, 0.0]]),
+        np.zeros((3, 3)),
+    )
+    m = build_model2(np.array([200.0, 40.0, 10.0]), geo)
+    grid = weekly_grid(10)
+    data = simulate(m, m.params, grid, n_sims=1, seed=0).observation_series(0)
+    return m, grid, data
+
+
+M2_SKELETON = _three_unit_model2()
+
+
+def reference_skeleton_loglik(model, params, data, grid) -> float:
+    """The skeleton log-likelihood by its definition: step the single
+    skeleton trajectory, zeroing the accumulators at the start of each
+    interval, and add ``dunit_measure`` over the observed entries only."""
+    theta = compile_theta(model, params)
+    X = np.asarray(model.rinit(theta, 1, None), dtype=float)
+    acc = model.indices(model.accumulators)
+    total = 0.0
+    for n, (t_prev, t_next) in enumerate(grid.intervals()):
+        X[:, acc] = 0.0
+        k, h = grid.substeps(t_prev, t_next)
+        for i in range(k):
+            X = model.step(X, t_prev + i * h, h, theta, None, None)
+        y = data.values[:, n]
+        observed = ~np.isnan(y)
+        if observed.any():
+            logd = model.dunit_measure(np.where(observed, y, 0.0), X, t_next, theta)
+            total += float(logd[0, observed].sum())
+    return total
+
+
+class TestSkeletonMissingData:
+    @given(st.lists(st.integers(0, 3), min_size=10, max_size=10), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_random_missing_pattern_matches_the_definition(self, kinds, seed):
+        # per week: 0 all observed, 1 one unit missing, 2 two missing, 3 all missing
+        m, grid, data = M2_SKELETON
+        rng = np.random.Generator(np.random.Philox(seed))
+        values = data.values.copy()
+        for n, kind in enumerate(kinds):
+            values[rng.permutation(3)[:kind], n] = np.nan
+        masked = ObservationSeries(data.units, values, counts=False)
+        got = deterministic_loglik(m, m.params, masked, grid, None)
+        want = reference_skeleton_loglik(m, m.params, masked, grid)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_all_missing_weeks_add_exactly_zero(self):
+        m, grid, data = M2_SKELETON
+        values = np.full_like(data.values, np.nan)
+        assert deterministic_loglik(m, m.params, ObservationSeries(data.units, values, counts=False), grid, None) == 0.0
+        values[:, 0] = data.values[:, 0]
+        masked = ObservationSeries(data.units, values, counts=False)
+        assert deterministic_loglik(m, m.params, masked, grid, None) == reference_skeleton_loglik(
+            m, m.params, masked, grid
+        )

@@ -26,7 +26,7 @@ from .series import CovariateTable, ObservationSeries
 
 def logmeanexp(logw: np.ndarray) -> float:
     """log of the mean of exponentials, stable under -inf entries."""
-    m = np.max(logw)
+    m = logw.max()
     if not np.isfinite(m):
         return float(m)
     e = np.exp(logw - m)

@@ -60,7 +60,8 @@ class TestEliminationPredicate:
     @settings(max_examples=100, deadline=None)
     def test_per_unit_arrays_match_brute_force_on_national_sums(self, seed, n_units, window):
         rng = np.random.Generator(np.random.Philox(seed))
-        arr = (rng.random((4, 80, n_units)) < 0.04).astype(float) * rng.integers(1, 4, size=(4, 80, n_units))
+        shape = (4, 80, n_units)
+        arr = (rng.random(shape) < 0.04) * rng.integers(1, 4, size=shape).astype(float)
         p, flags = elimination_probability(arr, window=window)
         brute = [brute_force_eliminates(arr[i].sum(axis=1), window) for i in range(4)]
         assert list(flags) == brute

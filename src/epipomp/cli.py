@@ -543,7 +543,7 @@ def cmd_profile(cfg: dict, out: Path, inputs: dict) -> dict:
         values = list(np.linspace(float(values["lo"]), float(values["hi"]), int(values["n"])))
     values = [float(v) for v in values]
     seed = _require_seed(cfg)
-    jobs = profile_design(parameter, values, settings=None, replicates=int(pr["replicates"]), base_seed=seed)
+    jobs = profile_design(parameter, values, replicates=int(pr["replicates"]), base_seed=seed)
     workers = int(cfg["workers"])
     args = [(cfg, j.parameter, j.value, j.seed) for j in jobs]
     if workers > 1:

@@ -33,6 +33,18 @@ def logmeanexp(logw: np.ndarray) -> float:
     return float(m + np.log(e.sum() / e.size))
 
 
+def logmeanexp_columns(logw: np.ndarray) -> np.ndarray:
+    """:func:`logmeanexp` of each column of a (J, U) array, to the same bits:
+    each column's exponentials are summed as one contiguous row."""
+    m = logw.max(0)
+    finite = np.isfinite(m)
+    if not finite.all():  # a column without a finite maximum keeps it, as logmeanexp does
+        m[finite] = logmeanexp_columns(logw[:, finite])
+        return m
+    e = np.exp(logw - m)
+    return m + np.log(np.ascontiguousarray(e.T).sum(axis=1) / logw.shape[0])
+
+
 def effective_sample_size(logw: np.ndarray) -> float:
     """ESS of a log-weight vector; equals J for constant weights."""
     m = np.max(logw)
@@ -147,11 +159,9 @@ def _filter_pass(
         )
     check_covariates(model, covs, grid)
     block_cols = [np.array([model.units.index(u) for u in b]) for b in resolve_blocks(model, blocks)]
-    unit_slices = model.unit_state_indices()
-    block_states = [
-        np.concatenate([unit_slices[i] for i in cols]) if len(unit_slices) > 1 else unit_slices[0]
-        for cols in block_cols
-    ]
+    if len(block_cols) > 1:
+        unit_slices = model.unit_state_indices()
+        block_states = [np.concatenate([unit_slices[i] for i in cols]) for cols in block_cols]
 
     if swarm is not None:
         theta = swarm.theta()
@@ -178,8 +188,7 @@ def _filter_pass(
             model.dunit_measure(np.where(missing, 0.0, y), X, t_next, theta), dtype=float
         )
         logw_units[:, missing] = 0.0
-        for u in range(U):
-            unit_cond[n, u] = 0.0 if missing[u] else logmeanexp(logw_units[:, u])
+        unit_cond[n] = logmeanexp_columns(logw_units)  # exactly 0.0 where missing
         t_cond = 0.0
         time_failed = False
         for b, cols in enumerate(block_cols):

@@ -63,15 +63,10 @@ class TimeGrid:
             prev = float(t)
 
 
-def weekly_grid(
-    n_weeks: int,
-    t0: float = 0.0,
-    euler_days: float = 1.0,
-    first_obs_week: int = 1,
-) -> TimeGrid:
-    """Weekly grid: observations at t0 + k*WEEK for k = first_obs_week..,
-    Euler step of ``euler_days`` days (default one day)."""
+def weekly_grid(n_weeks: int, t0: float = 0.0, euler_days: float = 1.0) -> TimeGrid:
+    """Weekly grid: observations at t0 + k*WEEK for k = 1..n_weeks, Euler
+    step of ``euler_days`` days (default one day)."""
     if n_weeks < 1:
         raise ValidationError("n_weeks must be >= 1")
-    ks = np.arange(first_obs_week, first_obs_week + n_weeks)
+    ks = np.arange(1, 1 + n_weeks)
     return TimeGrid(t0=t0, obs_times=t0 + ks * WEEK, euler_step=euler_days * DAY)

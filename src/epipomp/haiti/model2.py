@@ -18,7 +18,7 @@ from ..errors import ValidationError
 from ..euler import rk4_step
 from ..measures import lognormal_case_logpdf, lognormal_case_sample
 from ..model import PompModel, unit_param
-from ..params import ParamDef, ParameterSet
+from ..params import ParamDef, ParameterSet, family_key
 from ..units import per_day, per_week, WEEKS_PER_YEAR
 from .efficacy import ONE_DOSE_MEDIAN, TWO_DOSE_MEDIAN, UNDER5_EFFICACY_FACTOR
 from .geography import GeographyData, synthetic_geography
@@ -112,8 +112,7 @@ def build_model2(
         + ["W", "CI", "TI", "CLAMP"]
     )
     V = len(comp_names)  # 34
-    state_names = tuple(f"{c}[{u}]" for u in units for c in comp_names)
-    unit_states = tuple(tuple(f"{c}[{u}]" for c in comp_names) for u in units)
+    state_names = tuple(family_key(c, u) for u in units for c in comp_names)
     sl = {c: i for i, c in enumerate(comp_names)}
     S_cols = slice(0, 5)
     E_cols = slice(5, 10)
@@ -251,11 +250,10 @@ def build_model2(
         step=step,
         dunit_measure=dunit,
         runit_measure=runit,
-        accumulators=tuple(f"CI[{u}]" for u in units) + tuple(f"TI[{u}]" for u in units),
-        true_infection_states=tuple(f"TI[{u}]" for u in units),
-        measured_states=tuple(f"CI[{u}]" for u in units),
+        accumulators=tuple(family_key(c, u) for c in ("CI", "TI") for u in units),
+        true_infection_states=tuple(family_key("TI", u) for u in units),
+        measured_states=tuple(family_key("CI", u) for u in units),
         stochastic=False,
-        unit_states=unit_states,
         validate_params=_validate,
     )
 

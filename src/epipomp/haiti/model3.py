@@ -26,7 +26,7 @@ from ..errors import ValidationError
 from ..euler import euler_multinomial, gamma_increment
 from ..measures import nb_logpmf, nb_sample
 from ..model import PompModel, unit_param
-from ..params import ParamDef, ParameterSet
+from ..params import ParamDef, ParameterSet, family_key
 from ..units import DAYS_PER_YEAR, WEEK, WEEKS_PER_YEAR, per_day, per_week, weekly_variance
 from .efficacy import AGE_CORRECTION, EfficacyCurve, default_curve
 from .geography import GeographyData, synthetic_geography
@@ -72,11 +72,11 @@ def default_params(geography: GeographyData | None = None) -> ParameterSet:
         "psi": ParamDef(88.58, "log"),
     }
     for i, u in enumerate(geo.units):
-        entries[f"beta_h[{u}]"] = ParamDef(float(BETA_HUMAN[i % 10]), "log")
-        entries[f"beta_w[{u}]"] = ParamDef(float(BETA_WATER[i % 10]), "log")
-        entries[f"beta_hm[{u}]"] = ParamDef(HURRICANE_BETA.get(u, 0.0))
-        entries[f"h_hm[{u}]"] = ParamDef(HURRICANE_DECAY.get(u, 1.0), "log")
-        entries[f"i0[{u}]"] = ParamDef(I0_DEFAULTS.get(u, 1.0), "log")
+        entries[family_key("beta_h", u)] = ParamDef(float(BETA_HUMAN[i % 10]), "log")
+        entries[family_key("beta_w", u)] = ParamDef(float(BETA_WATER[i % 10]), "log")
+        entries[family_key("beta_hm", u)] = ParamDef(HURRICANE_BETA.get(u, 0.0))
+        entries[family_key("h_hm", u)] = ParamDef(HURRICANE_DECAY.get(u, 1.0), "log")
+        entries[family_key("i0", u)] = ParamDef(I0_DEFAULTS.get(u, 1.0), "log")
     return ParameterSet(entries)
 
 
@@ -123,8 +123,7 @@ def build_model3(
         + ["I", "A", "R1", "R2", "R3", "W", "CI", "TI"]
     )
     V = len(comp_names)
-    state_names = tuple(f"{c}[{u}]" for u in units for c in comp_names)
-    unit_states = tuple(tuple(f"{c}[{u}]" for c in comp_names) for u in units)
+    state_names = tuple(family_key(c, u) for u in units for c in comp_names)
     iI, iA = Z + 1, Z + 2
     iR = np.arange(Z + 3, Z + 6)
     iW, iCI, iTI = Z + 6, Z + 7, Z + 8
@@ -310,11 +309,10 @@ def build_model3(
         step=step,
         dunit_measure=dunit,
         runit_measure=runit,
-        accumulators=tuple(f"CI[{u}]" for u in units) + tuple(f"TI[{u}]" for u in units),
-        true_infection_states=tuple(f"TI[{u}]" for u in units),
-        measured_states=tuple(f"CI[{u}]" for u in units),
+        accumulators=tuple(family_key(c, u) for c in ("CI", "TI") for u in units),
+        true_infection_states=tuple(family_key("TI", u) for u in units),
+        measured_states=tuple(family_key("CI", u) for u in units),
         needs_covariates=True,
-        unit_states=unit_states,
         validate_params=_validate,
     )
 

@@ -15,8 +15,8 @@ at (max - cutoff).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import chdtri
@@ -165,31 +165,26 @@ class ProfileJob:
     value: float
     replicate: int
     seed: int
-    settings: Any
 
 
 def profile_design(
     parameter: str,
     values: Sequence[float],
-    settings: Any,
     replicates: int = 3,
     base_seed: int = 0,
 ) -> list[ProfileJob]:
     """Jobs for a profile-likelihood search: one maximization per grid value
-    per replicate, with the profiled parameter clamped (removed from the
-    search's random-walk set if present)."""
+    per replicate, each with its own seed. The search that runs a job clamps
+    the profiled parameter at the job's value."""
     values = list(values)
     if not values:
         raise ValidationError("profile grid is empty")
     if replicates < 1:
         raise ValidationError("replicates must be >= 1")
-    if hasattr(settings, "rw_sd") and parameter in settings.rw_sd:
-        pruned = {k: v for k, v in settings.rw_sd.items() if k != parameter}
-        settings = replace(settings, rw_sd=pruned)
     jobs = []
     i = 0
     for v in values:
         for r in range(replicates):
-            jobs.append(ProfileJob(parameter, float(v), r, base_seed + 7919 * i, settings))
+            jobs.append(ProfileJob(parameter, float(v), r, base_seed + 7919 * i))
             i += 1
     return jobs

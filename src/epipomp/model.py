@@ -43,6 +43,11 @@ class PompModel:
     - ``dunit_measure(y, X, t, theta) -> (J, U)`` per-unit observation
       log-densities for one observation row ``y`` (length U).
     - ``runit_measure(X, t, theta, rng) -> (J, U)`` observation sampler.
+
+    In a multi-unit model each state is named ``"name[unit]"`` (spelled by
+    :func:`epipomp.params.family_key`), as unit-specific parameters are: the
+    suffix is the one record of which unit owns the state, and block filters
+    resample each unit's states by it (:meth:`unit_state_indices`).
     """
 
     name: str
@@ -58,7 +63,6 @@ class PompModel:
     measured_states: tuple[str, ...] = ()
     stochastic: bool = True
     needs_covariates: bool = False
-    unit_states: tuple[tuple[str, ...], ...] | None = None
     validate_params: Callable[[ParameterSet], None] | None = None
     _position: dict[str, int] = field(init=False, repr=False)
 
@@ -89,10 +93,18 @@ class PompModel:
         return self.indices(self.accumulators)
 
     def unit_state_indices(self) -> list[np.ndarray]:
-        """State indices belonging to each unit (for block resampling)."""
-        if self.unit_states is None:
-            return [np.arange(self.n_states)]
-        return [self.indices(names) for names in self.unit_states]
+        """State indices owned by each unit, in unit order, read from the
+        ``[unit]`` suffix of the state names (for block resampling)."""
+        owned: dict[str, list[int]] = {u: [] for u in self.units}
+        for i, name in enumerate(self.state_names):
+            unit = split_key(name)[1]
+            if unit not in owned:
+                raise ValidationError(
+                    f"state {name!r} of model {self.name!r} names no unit of "
+                    f"{list(self.units)}; block filtering needs every state keyed name[unit]"
+                )
+            owned[unit].append(i)
+        return [np.array(owned[u], dtype=int) for u in self.units]
 
     def check_params(self, params: ParameterSet) -> None:
         missing = [k for k in self.params if k not in params]
@@ -203,11 +215,17 @@ class SimulationResult:
 
 
 def check_covariates(model: PompModel, covs: CovariateTable | None, grid: TimeGrid) -> None:
-    """Require covariates spanning [grid.t0, grid.t_end] when the model reads them."""
+    """Require covariates spanning [grid.t0, grid.t_end] when the model reads
+    them, with rainfall rows for the model's units in the model's order."""
     if model.needs_covariates:
         if covs is None:
             raise ValidationError(f"model {model.name!r} requires covariates")
         covs.check_span(grid.t0, grid.t_end)
+        if covs.rainfall is not None and covs.units != model.units:
+            raise ValidationError(
+                f"rainfall units {list(covs.units)} differ from model {model.name!r} "
+                f"units {list(model.units)}"
+            )
 
 
 def simulate(

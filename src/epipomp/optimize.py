@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .errors import ValidationError
 from .filtering import _filter_pass
@@ -45,6 +44,9 @@ def restarted_nelder_mead(
 ) -> OptimResult:
     """Minimize ``f`` by Nelder-Mead, restarting at the incumbent until the
     restart no longer improves. Deterministic for deterministic ``f``."""
+    # imported here so that commands which never optimize do not load scipy.optimize
+    from scipy import optimize as sciopt
+
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     best = float(f(x))
     n_eval, restarts = 1, 0

@@ -2,9 +2,14 @@
 
 Parameters live on their natural scale. Each entry carries a transform
 (identity, log, or logit) mapping to the unconstrained estimation scale used
-by the search algorithms, and an optional owning unit for unit-specific
-parameters (e.g. a per-department transmission rate). Unit-specific entries
-are keyed ``"name[unit]"``; :func:`family_key` builds such keys.
+by the search algorithms.
+
+The key ``"name[unit]"`` is the one record of which spatial unit owns a
+parameter (e.g. a per-department transmission rate) or a state variable:
+:func:`family_key` spells such keys and :func:`split_key` reads them. A key
+without the suffix is shared by all units. :func:`epipomp.model.compile_theta`
+assembles a parameter family into one value per unit, and block filters
+resample each unit's states and parameters together.
 """
 
 from __future__ import annotations
@@ -55,11 +60,10 @@ def from_estimation(value: float, transform: str) -> float:
 
 @dataclass(frozen=True)
 class ParamDef:
-    """One parameter: natural-scale value, transform, and optional owning unit."""
+    """One parameter: natural-scale value and transform."""
 
     value: float
     transform: str = "identity"
-    unit: str | None = None
 
     def __post_init__(self) -> None:
         if self.transform not in TRANSFORMS:
@@ -76,31 +80,15 @@ class ParamDef:
 class ParameterSet(Mapping[str, float]):
     """Immutable mapping of parameter names to natural-scale values.
 
-    Behaves as a ``Mapping[str, float]`` for value access; transform and
-    scope metadata are available through :meth:`transform_of` and
-    :meth:`unit_of`.
+    Behaves as a ``Mapping[str, float]`` for value access; the transform of
+    an entry is available through :meth:`transform_of`, and the unit owning
+    it through :func:`split_key` of its key.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[str, ParamDef]):
         object.__setattr__(self, "_entries", dict(entries))
-
-    @classmethod
-    def build(
-        cls,
-        values: Mapping[str, float],
-        transforms: Mapping[str, str] | None = None,
-        units: Mapping[str, str] | None = None,
-    ) -> "ParameterSet":
-        """Construct from plain dicts of values, transforms, and owning units."""
-        transforms = transforms or {}
-        units = units or {}
-        entries = {
-            k: ParamDef(float(v), transforms.get(k, "identity"), units.get(k))
-            for k, v in values.items()
-        }
-        return cls(entries)
 
     # Mapping protocol -----------------------------------------------------
     def __getitem__(self, name: str) -> float:
@@ -120,32 +108,15 @@ class ParameterSet(Mapping[str, float]):
     def transform_of(self, name: str) -> str:
         return self._entries[name].transform
 
-    def unit_of(self, name: str) -> str | None:
-        return self._entries[name].unit
-
     # Derived views --------------------------------------------------------
-    def family(self, name: str, units: Iterable[str]) -> np.ndarray:
-        """Per-unit values of a unit-specific family, in the given unit order.
-
-        Falls back to a shared entry of the same name, broadcast across units.
-        """
-        units = list(units)
-        keys = [family_key(name, u) for u in units]
-        if all(k in self._entries for k in keys):
-            return np.array([self._entries[k].value for k in keys])
-        if name in self._entries:
-            return np.full(len(units), self._entries[name].value)
-        missing = [k for k in keys if k not in self._entries]
-        raise ValidationError(f"parameter family {name!r} incomplete: missing {missing}")
-
     def replace(self, updates: Mapping[str, float]) -> "ParameterSet":
-        """New set with the given values replaced (metadata preserved)."""
+        """New set with the given values replaced (transforms preserved)."""
         entries = dict(self._entries)
         for k, v in updates.items():
             if k not in entries:
                 raise ValidationError(f"unknown parameter {k!r}")
             d = entries[k]
-            entries[k] = ParamDef(float(v), d.transform, d.unit)
+            entries[k] = ParamDef(float(v), d.transform)
         return ParameterSet(entries)
 
     def require(self, names: Iterable[str]) -> None:

@@ -94,8 +94,9 @@ def standardize_rainfall(raw: np.ndarray | Mapping[str, Sequence[float]],
 class CovariateTable:
     """Time-indexed covariates, piecewise constant over each reporting week.
 
-    ``times`` are the week start times; a value row applies on
-    [times[k], times[k] + step).
+    ``times`` are the week start times; a value column applies on
+    [times[k], times[k] + step). ``rainfall`` has one row per unit, and
+    ``units`` names the unit of each row.
     """
 
     times: np.ndarray
@@ -116,6 +117,12 @@ class CovariateTable:
             object.__setattr__(self, "rainfall", rf)
             if rf.ndim != 2 or rf.shape[1] != times.size:
                 raise ValidationError("rainfall must be U x len(times)")
+            if self.units is None or len(self.units) != rf.shape[0]:
+                raise ValidationError(
+                    f"rainfall has {rf.shape[0]} rows but names the units {self.units}; "
+                    "it needs one unit per row"
+                )
+            object.__setattr__(self, "units", tuple(self.units))
             if np.any(rf < 0) or np.any(rf > 1):
                 raise ValidationError("rainfall must be standardized to [0, 1]")
 

@@ -17,7 +17,7 @@ from .euler import euler_multinomial, gamma_increment, rk4_step
 from .grid import TimeGrid
 from .measures import nb_logpmf, nb_sample, norm_logpdf
 from .model import PompModel, scalar_param, unit_param
-from .params import ParamDef, ParameterSet
+from .params import ParamDef, ParameterSet, family_key
 
 
 def toy_grid(n_obs: int, euler_step: float = 1.0) -> TimeGrid:
@@ -157,15 +157,12 @@ def metapop_model(
         "i0": ParamDef(10.0, "log"),
     }
     for u in units:
-        entries[f"beta[{u}]"] = ParamDef(1.5, "log")
+        entries[family_key("beta", u)] = ParamDef(1.5, "log")
     params = ParameterSet(entries)
     pops_arr = np.array(pops)
 
     # state layout: per unit (S, I, R, C_inc)
-    state_names = tuple(f"{s}[{u}]" for u in units for s in ("S", "I", "R", "C_inc"))
-    unit_states = tuple(
-        tuple(f"{s}[{u}]" for s in ("S", "I", "R", "C_inc")) for u in units
-    )
+    state_names = tuple(family_key(s, u) for u in units for s in ("S", "I", "R", "C_inc"))
     sl_S = np.arange(U) * 4
     sl_I = sl_S + 1
     sl_R = sl_S + 2
@@ -216,10 +213,9 @@ def metapop_model(
         step=step,
         dunit_measure=dunit,
         runit_measure=runit,
-        accumulators=tuple(f"C_inc[{u}]" for u in units),
-        true_infection_states=tuple(f"C_inc[{u}]" for u in units),
-        measured_states=tuple(f"C_inc[{u}]" for u in units),
-        unit_states=unit_states,
+        accumulators=tuple(family_key("C_inc", u) for u in units),
+        true_infection_states=tuple(family_key("C_inc", u) for u in units),
+        measured_states=tuple(family_key("C_inc", u) for u in units),
     )
 
 

@@ -30,19 +30,20 @@ class TestParameterSet:
         assert from_estimation(to_estimation(v, "logit"), "logit") == pytest.approx(v, rel=1e-9)
 
     def test_family_access_and_keys(self):
+        # the key is the one record of the owning unit
         ps = ParameterSet(
             {
                 "shared": ParamDef(1.0, "log"),
-                family_key("beta", "north"): ParamDef(2.0, "log", "north"),
-                family_key("beta", "south"): ParamDef(3.0, "log", "south"),
+                family_key("beta", "north"): ParamDef(2.0, "log"),
+                family_key("beta", "south"): ParamDef(3.0, "log"),
             }
         )
+        assert family_key("beta", "north") == "beta[north]"
         assert split_key("beta[north]") == ("beta", "north")
         assert split_key("shared") == ("shared", None)
-        np.testing.assert_allclose(ps.family("beta", ["north", "south"]), [2.0, 3.0])
-        np.testing.assert_allclose(ps.family("shared", ["north", "south"]), [1.0, 1.0])
-        with pytest.raises(ValidationError):
-            ps.family("beta", ["north", "east"])
+        assert [split_key(k) for k in ps] == [("shared", None), ("beta", "north"), ("beta", "south")]
+        assert ps["beta[south]"] == 3.0
+        assert ps.transform_of("beta[north]") == "log"
 
     def test_replace_preserves_metadata_and_validates(self):
         ps = ParameterSet({"r": ParamDef(0.5, "logit")})
@@ -160,6 +161,12 @@ class TestCovariateTable:
         assert c.rainfall_at(1.0)[0] == 0.9
         with pytest.raises(CoverageError):
             c.rainfall_at(2.5)
+
+    def test_rainfall_names_one_unit_per_row(self):
+        with pytest.raises(ValidationError, match="one unit per row"):
+            CovariateTable(times=np.array([0.0]), rainfall=np.array([[0.5], [0.5]]))
+        with pytest.raises(ValidationError, match="one unit per row"):
+            CovariateTable(times=np.array([0.0]), rainfall=np.array([[0.5], [0.5]]), units=("a",))
 
     def test_rainfall_must_be_standardized(self):
         with pytest.raises(ValidationError):

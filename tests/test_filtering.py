@@ -2,25 +2,37 @@
 plus the structural contracts: ESS bounds, conditional decomposition,
 failure flagging, missing-data handling, and likelihood-weighted sampling."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from conftest import mc_se_mean, se_proportion
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from epipomp import filtering, iterfilter
 from epipomp.errors import ValidationError
 from epipomp.filtering import (
     effective_sample_size,
     logmeanexp,
+    logmeanexp_columns,
     particle_filter,
     sample_params_by_likelihood,
     systematic_indices,
 )
+from epipomp.haiti.model2 import build_model2
+from epipomp.haiti.model3 import build_model3
+from epipomp.iterfilter import IbpfSettings, ibpf
 from epipomp.model import simulate
 from epipomp.params import ParamDef, ParameterSet
+from epipomp.series import ObservationSeries
 from epipomp.toys import (
     hmm_forward_loglik,
     hmm_model,
     kalman_loglik,
     lgssm_model,
+    metapop_model,
     pure_death_model,
     sir_model,
     toy_grid,
@@ -161,6 +173,141 @@ class TestSystematicResampling:
     def test_logmeanexp_handles_neg_inf(self):
         assert logmeanexp(np.array([-np.inf, -np.inf])) == -np.inf
         assert logmeanexp(np.array([0.0, -np.inf])) == pytest.approx(np.log(0.5))
+
+    def test_logmeanexp_columns_bit_identical_to_each_column(self):
+        rng = np.random.default_rng(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an all -inf column warns nothing
+            for _ in range(300):
+                J, U = int(rng.integers(1, 300)), int(rng.integers(1, 12))
+                a = rng.normal(size=(J, U)) * rng.choice([0.1, 10.0, 500.0])
+                a[rng.random((J, U)) < rng.random() * 0.5] = -np.inf
+                if rng.random() < 0.3:
+                    a[:, rng.integers(U)] = -np.inf
+                got = logmeanexp_columns(a)
+                want = np.array([logmeanexp(a[:, u]) for u in range(U)])
+                assert np.array_equal(got, want)
+
+
+def _unsuffixed(m):
+    """``m`` with every state renamed from name[unit] to name_unit."""
+    def rename(names):
+        return tuple(n.replace("[", "_").rstrip("]") for n in names)
+
+    return dataclasses.replace(
+        m,
+        state_names=rename(m.state_names),
+        accumulators=rename(m.accumulators),
+        true_infection_states=rename(m.true_infection_states),
+        measured_states=rename(m.measured_states),
+    )
+
+
+class TestUnitStateNames:
+    """The ``[unit]`` suffix of a state name is the one record of its unit."""
+
+    @pytest.fixture(scope="class")
+    def metapop(self):
+        m = metapop_model(units=("a", "b"), pops=(3000.0, 4000.0))
+        g = toy_grid(8)
+        return m, g, simulate(m, m.params, g, n_sims=1, seed=5).observation_series(0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: metapop_model(),
+            lambda: build_model2(np.arange(10.0) + 1.0),
+            lambda: build_model3(np.full((10, 4), 5.0)),
+        ],
+        ids=["toy-metapop", "model2", "model3"],
+    )
+    def test_each_unit_owns_its_contiguous_states(self, build):
+        m = build()
+        V = m.n_states // m.n_units
+        got = m.unit_state_indices()
+        assert len(got) == m.n_units
+        for u, idx in enumerate(got):
+            np.testing.assert_array_equal(idx, np.arange(u * V, (u + 1) * V))
+
+    def test_unsuffixed_states_rejected_by_block_filters(self, metapop):
+        m, g, data = metapop
+        bare = _unsuffixed(m)
+        with pytest.raises(ValidationError, match=r"state 'S_a'"):
+            particle_filter(bare, bare.params, data, g, J=20, seed=1, blocks=[["a"], ["b"]])
+        with pytest.raises(ValidationError, match=r"state 'S_a'"):
+            ibpf(bare, data, g, None, IbpfSettings(J=20, M=1, rw_sd={"beta": 0.02}), seed=1)
+
+    def test_unsuffixed_states_one_block_bit_identical(self, metapop):
+        m, g, data = metapop
+        bare = _unsuffixed(m)
+        a = particle_filter(m, m.params, data, g, J=50, seed=3)
+        b = particle_filter(bare, bare.params, data, g, J=50, seed=3)
+        assert a.loglik == b.loglik
+        np.testing.assert_array_equal(a.cond_logliks, b.cond_logliks)
+        np.testing.assert_array_equal(a.filter_sample, b.filter_sample)
+
+
+_N_WEEKS, _UNITS = 8, ("north", "center", "south")
+
+
+def _metapop_series():
+    m = metapop_model(units=_UNITS)
+    g = toy_grid(_N_WEEKS)
+    return m, g, simulate(m, m.params, g, n_sims=1, seed=12).observations[0].T
+
+
+_METAPOP = _metapop_series()
+
+
+class TestRandomMissingPatterns:
+    """ROADMAP 3(b): any missing-data pattern adds exactly 0 and resamples
+    nothing, in the block filter and in an IBPF pass (per-unit blocks)."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        cells=st.lists(st.booleans(), min_size=_N_WEEKS * len(_UNITS), max_size=_N_WEEKS * len(_UNITS)),
+        weeks=st.lists(st.booleans(), min_size=_N_WEEKS, max_size=_N_WEEKS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_missing_adds_zero_and_draws_nothing(self, cells, weeks, seed):
+        m, g, obs = _METAPOP
+        U = len(_UNITS)
+        missing = np.array(cells).reshape(U, _N_WEEKS) | np.array(weeks)[None, :]
+        data = ObservationSeries(_UNITS, np.where(missing, np.nan, obs))
+        blocks = [[u] for u in _UNITS]
+        J = 30
+        passes, draws, week = [], [], [None]
+
+        def advance(model, X, t_from, t_to, *rest):
+            week[0] = int(np.searchsorted(g.obs_times, t_to))
+            return real_advance(model, X, t_from, t_to, *rest)
+
+        def resample(logw, u):
+            draws.append(week[0])
+            return real_systematic(logw, u)
+
+        def ibpf_pass(*args):
+            res = real_pass(*args)
+            passes.append(res)
+            return res
+
+        real_advance, real_systematic = filtering.advance, filtering.systematic_indices
+        real_pass = iterfilter._filter_pass
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filtering, "advance", advance)
+            mp.setattr(filtering, "systematic_indices", resample)
+            mp.setattr(iterfilter, "_filter_pass", ibpf_pass)
+            pf = particle_filter(m, m.params, data, g, J=J, seed=seed, blocks=blocks)
+            ibpf(m, data, g, None, IbpfSettings(J=J, M=1, rw_sd={"beta": 0.02}, blocks=blocks), seed=seed)
+        # three block filters drew: the filter, the IBPF pass and its evaluation
+        per_week = np.bincount(draws, minlength=_N_WEEKS)
+        for res in (pf, passes[0]):
+            assert np.all(res.unit_cond_logliks[missing.T] == 0.0)
+            all_missing = missing.all(axis=0)
+            assert np.all(res.cond_logliks[all_missing] == 0.0)
+            assert np.all(res.ess[all_missing] == J)
+        assert np.all(per_week[missing.all(axis=0)] == 0)
+        assert np.all(per_week <= 3 * (~missing).sum(axis=0))
 
 
 class TestSampleParamsByLikelihood:

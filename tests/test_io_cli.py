@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ class TestLoadCases:
     def test_negative_count_names_row(self, tmp_path):
         p = write(tmp_path / "c.csv", "date,department,cases\n2015-01-03,A,-2\n")
         with pytest.raises(DataFormatError, match="row 2"):
+            io.load_cases(p)
+
+    def test_non_integer_count_names_row(self, tmp_path):
+        p = write(
+            tmp_path / "c.csv",
+            "date,department,cases\n2015-01-03,A,3\n2015-01-10,A,2.5\n",
+        )
+        with pytest.raises(DataFormatError, match=r"c\.csv: row 3: non-integer count 2\.5"):
             io.load_cases(p)
 
     def test_duplicate_names_both_rows(self, tmp_path):
@@ -307,6 +316,28 @@ class TestCliPipeline:
         assert summary["ci_upper"] == pytest.approx(curve.ci[1], rel=1e-12)
         assert summary["cutoff"] == pytest.approx(curve.cutoff, rel=1e-12)
 
+    def test_profiled_parameter_removed_from_search(self, tmp_path, toy_cases, monkeypatch):
+        # each profile job clamps its parameter: the if2 search it runs
+        # starts at the job's value and leaves the parameter out of rw_sd
+        import epipomp.cli as cli
+
+        seen = []
+
+        def fake_if2(model, data, grid, covs, settings, seed):
+            seen.append((dict(settings.rw_sd), settings.initial["beta"]))
+            return SimpleNamespace(best_loglik=-1.0)
+
+        monkeypatch.setattr(cli, "if2", fake_if2)
+        code = self.run(
+            "profile", "--seed", "5", "--out", str(tmp_path / "prof"),
+            "--set", "model=toy:sir", "--set", f"data.cases={toy_cases}",
+            "--set", "profile.parameter=beta", "--set", "profile.values=[1.5, 2.5]",
+            "--set", "profile.replicates=2", "--set", "profile.method=if2",
+            "--set", 'fit.rw_sd={"beta": 0.05, "gamma": 0.05}',
+        )
+        assert code == 0
+        assert seen == [({"gamma": 0.05}, v) for v in (1.5, 1.5, 2.5, 2.5)]
+
     def test_console_entry_point(self):
         res = subprocess.run(
             [sys.executable, "-m", "epipomp", "--help"], capture_output=True, text=True
@@ -314,23 +345,31 @@ class TestCliPipeline:
         assert res.returncode == 0
         assert "simulate" in res.stdout
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # package modules import only numpy, scipy.special and scipy.optimize
-        # at load time; scipy.stats alone would double every CLI's start-up
+    @staticmethod
+    def _loaded_by_cli_import(prefix: str) -> str:
         src = str(Path(__file__).resolve().parents[1] / "src")
         res = subprocess.run(
             [
                 sys.executable,
                 "-c",
                 "import epipomp.cli, sys; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))",
+                f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))",
             ],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": src},
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "[]"
+        return res.stdout.strip()
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # package modules import only numpy and scipy.special at load time;
+        # scipy.stats alone would double every CLI's start-up
+        assert self._loaded_by_cli_import("scipy.stats") == "[]"
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # only trajectory matching needs it, and imports it when it runs
+        assert self._loaded_by_cli_import("scipy.optimize") == "[]"
 
     def test_benchmark_tracer_instruments_the_package(self):
         # perfbench/tracer.py patches package functions by module attribute;

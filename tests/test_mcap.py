@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from epipomp.errors import ValidationError
-from epipomp.iterfilter import If2Settings
 from epipomp.mcap import loess_quadratic, mcap_ci, mcap_cutoff, profile_design, tricube
 
 
@@ -96,26 +95,19 @@ class TestMcapCi:
 
 class TestProfileDesign:
     def test_single_point_gives_replicate_jobs(self):
-        jobs = profile_design("zeta", [0.1], settings=None, replicates=4)
+        jobs = profile_design("zeta", [0.1], replicates=4)
         assert len(jobs) == 4
         assert all(j.value == 0.1 for j in jobs)
         assert len({j.seed for j in jobs}) == 4
 
-    def test_profiled_parameter_removed_from_search(self):
-        st = If2Settings(J=10, M=2, rw_sd={"zeta": 0.1, "rho": 0.05})
-        jobs = profile_design("zeta", [0.0, 0.1], settings=st, replicates=2)
-        for j in jobs:
-            assert "zeta" not in j.settings.rw_sd
-            assert "rho" in j.settings.rw_sd
-
     def test_empty_grid_fails(self):
         with pytest.raises(ValidationError):
-            profile_design("zeta", [], settings=None)
+            profile_design("zeta", [])
 
     def test_trend_profile_grid_shape(self):
         # grid spanning the published profile range keeps its ordering
         values = np.linspace(-0.12, 0.02, 15)
-        jobs = profile_design("zeta", values, settings=None, replicates=1)
+        jobs = profile_design("zeta", values, replicates=1)
         assert [j.value for j in jobs] == sorted(j.value for j in jobs)
         assert min(j.value for j in jobs) == -0.12
         assert max(j.value for j in jobs) == pytest.approx(0.02)

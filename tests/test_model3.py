@@ -9,6 +9,7 @@ import pytest
 from conftest import mc_se_mean
 
 from epipomp.errors import ValidationError
+from epipomp.filtering import particle_filter
 from epipomp.forecast import forecast_from_filter
 from epipomp.grid import TimeGrid
 from epipomp.haiti.geography import synthetic_geography
@@ -107,6 +108,24 @@ class TestRates:
         X = m.rinit(theta, 1, make_rng(0))
         with pytest.raises(ValidationError, match="rainfall"):
             m.step(X, 0.1, 0.001, theta, None, make_rng(0))
+
+    def test_reordered_rainfall_units_rejected(self, geo, covs):
+        # a correctly labelled table in another unit order would otherwise
+        # drive each department with another department's rainfall
+        m = build_model3(INIT_OBS, geo)
+        order = np.arange(geo.n_units)[::-1]
+        reordered = CovariateTable(
+            times=covs.times, step=covs.step, rainfall=covs.rainfall[order],
+            units=tuple(geo.units[i] for i in order), hurricane_time=covs.hurricane_time,
+        )
+        t0 = 3 * WEEK
+        grid = TimeGrid(t0, t0 + np.arange(1, 3) * WEEK, euler_step=WEEK / 7)
+        message = rf"rainfall units \['{geo.units[-1]}'.*\] differ .* units \['{geo.units[0]}'"
+        with pytest.raises(ValidationError, match=message):
+            simulate(m, m.params, grid, reordered, n_sims=1, seed=0)
+        data = simulate(m, m.params, grid, covs, n_sims=1, seed=0).observation_series(0)
+        with pytest.raises(ValidationError, match=message):
+            particle_filter(m, m.params, data, grid, reordered, J=5, seed=0)
 
 
 class TestMeasurement:

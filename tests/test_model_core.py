@@ -7,21 +7,17 @@ import pytest
 from epipomp.errors import CoverageError, ValidationError
 from epipomp.grid import TimeGrid
 from epipomp.model import compile_theta, simulate
-from epipomp.params import ParameterSet
+from epipomp.params import ParamDef, ParameterSet
 from epipomp.series import CovariateTable
 from epipomp.toys import pure_death_model, sir_model, toy_grid
 
 
 def _rebuilt(params, drop=None, add=None):
-    """``params`` rebuilt through ParameterSet.build, less the entry ``drop``
-    and plus an entry of value 1 for ``add = (name, owning unit)``."""
-    names = [k for k in params if k != drop]
-    values = {k: params[k] for k in names}
-    transforms = {k: params.transform_of(k) for k in names}
-    units = {k: params.unit_of(k) for k in names}
+    """``params`` less the entry ``drop`` and plus an entry ``add`` of value 1."""
+    entries = {k: ParamDef(params[k], params.transform_of(k)) for k in params if k != drop}
     if add is not None:
-        values[add[0]], units[add[0]] = 1.0, add[1]
-    return ParameterSet.build(values, transforms, units)
+        entries[add] = ParamDef(1.0)
+    return ParameterSet(entries)
 
 
 class TestSimulate:
@@ -110,6 +106,6 @@ class TestCompileTheta:
 
     def test_unknown_unit_rejected(self):
         m = sir_model()
-        bad = _rebuilt(m.params, add=("x[elsewhere]", "elsewhere"))
+        bad = _rebuilt(m.params, add="x[elsewhere]")
         with pytest.raises(ValidationError, match="elsewhere"):
             compile_theta(m, bad)

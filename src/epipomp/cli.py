@@ -48,7 +48,7 @@ from .iterfilter import IbpfSettings, If2Settings, ibpf, if2
 from .mcap import mcap_ci, profile_design
 from .model import PompModel, simulate
 from .optimize import trajectory_match
-from .params import ParameterSet
+from .params import ParameterSet, family_key
 from .series import CovariateTable, ObservationSeries, standardize_rainfall
 from .toys import (
     hmm_model,
@@ -396,7 +396,7 @@ def cmd_filter(cfg: dict, out: Path, inputs: dict) -> dict:
         rows.append(row + [f"{v:.6g}" for v in res.unit_cond_logliks[n]])
     io.write_table(
         out / "filter.csv",
-        ["week", "cond_loglik", "ess"] + [f"cond_loglik[{u}]" for u in bundle.model.units],
+        ["week", "cond_loglik", "ess"] + [family_key("cond_loglik", u) for u in bundle.model.units],
         rows,
     )
     return {

@@ -21,8 +21,10 @@ from epipomp.filtering import (
     sample_params_by_likelihood,
     systematic_indices,
 )
+from epipomp.haiti.geography import synthetic_geography
 from epipomp.haiti.model2 import build_model2
 from epipomp.haiti.model3 import build_model3
+from epipomp.haiti.scenarios import apply_vaccination_scenario, builtin_scenario
 from epipomp.iterfilter import IbpfSettings, ibpf
 from epipomp.model import simulate
 from epipomp.params import ParamDef, ParameterSet
@@ -37,6 +39,7 @@ from epipomp.toys import (
     sir_model,
     toy_grid,
 )
+from epipomp.units import WEEK
 
 TRANS = np.array([[0.9, 0.1], [0.2, 0.8]])
 EMIT = np.array([[0.8, 0.15, 0.05], [0.1, 0.3, 0.6]])
@@ -189,6 +192,11 @@ class TestSystematicResampling:
                 assert np.array_equal(got, want)
 
 
+def _v4_schedule():
+    geo = synthetic_geography()
+    return apply_vaccination_scenario(builtin_scenario("V4", geo), "model3", geo, origin=4 * WEEK)
+
+
 def _unsuffixed(m):
     """``m`` with every state renamed from name[unit] to name_unit."""
     def rename(names):
@@ -218,8 +226,9 @@ class TestUnitStateNames:
             lambda: metapop_model(),
             lambda: build_model2(np.arange(10.0) + 1.0),
             lambda: build_model3(np.full((10, 4), 5.0)),
+            lambda: build_model3(np.full((10, 4), 5.0), schedule=_v4_schedule()),
         ],
-        ids=["toy-metapop", "model2", "model3"],
+        ids=["toy-metapop", "model2", "model3", "model3-v4"],
     )
     def test_each_unit_owns_its_contiguous_states(self, build):
         m = build()

@@ -7,6 +7,13 @@ matching rainfall covering the fitting span plus a ten-year forecast
 horizon, geography/distance/river tables, the default efficacy curve, and
 explicit dose schedules for scenarios V1-V4. The generating seed and
 settings are recorded in data/manifest.json.
+
+The bundled files were written by this script at commit 2dca7ff
+(``generator_commit`` in the manifest), and it reproduces them byte for byte
+there. From cd62ef2 on, model3 fuses its I/A/R draws, so the same seed
+simulates a different case series: run now, the script writes a dataset
+that differs from the bundled one. The bundled data are kept as they are,
+because the golden outputs and the benchmark references are pinned to them.
 """
 
 from __future__ import annotations

@@ -663,7 +663,7 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
 
     if bundle.model_id == "model2":
         proj = trajectory_projection(
-            model_fc, bundle.params, scenario_id, bundle.covs, 0.0,
+            model_fc, bundle.params, bundle.covs, 0.0,
             int(round(origin / WEEK)) + horizon, euler_step=bundle.grid.euler_step,
         )
         keep = proj.times > origin + 1e-12
@@ -693,17 +693,17 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
         _load_candidates(fc["candidates"], bundle.params, inputs) if fc.get("candidates") else None
     )
     res = forecast_from_filter(
-        model_fc, bundle.params, sample, scenario_id, bundle.covs,
+        model_fc, bundle.params, sample, bundle.covs,
         origin, horizon, int(fc["n_sims"]), seed=seed + 1, window=int(fc["window"]),
         euler_step=bundle.grid.euler_step, param_candidates=candidates,
         week_duration=1.0 if toy else WEEK,
     )
-    summary = _write_forecast(out, res, bundle)
+    summary = _write_forecast(out, res, bundle, scenario_id)
     summary["filter_loglik"] = pf.loglik
     return summary
 
 
-def _write_forecast(out: Path, res, bundle: Bundle) -> dict:
+def _write_forecast(out: Path, res, bundle: Bundle, scenario_id: str) -> dict:
     national_true = res.true_infections.sum(axis=2)
     national_rep = res.reported.sum(axis=2)
     rows = []
@@ -722,12 +722,12 @@ def _write_forecast(out: Path, res, bundle: Bundle) -> dict:
     )
     return {
         "model": bundle.model_id,
-        "scenario": res.scenario,
+        "scenario": scenario_id,
         "n_sims": int(res.eliminated.size),
         "horizon_weeks": int(res.times.size),
         "window": res.window,
         "elimination_probability": res.probability,
-        "source": res.source,
+        "source": "filtering",
     }
 
 

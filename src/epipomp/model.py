@@ -1,4 +1,4 @@
-"""The POMP model abstraction and the generic simulator.
+"""The POMP model abstraction and the one forward simulator.
 
 A :class:`PompModel` bundles an initializer, a process stepper, a measurement
 density/sampler, and structural metadata (units, state layout, accumulator
@@ -8,7 +8,9 @@ states are (J, S) arrays, and parameter values passed to them are floats or
 
 Accumulator state variables (weekly incidence trackers) are zeroed by
 :func:`advance` at the start of each observation interval; the recorded
-trajectory keeps the accumulated value at each observation.
+trajectory keeps the accumulated value at each observation. Outside the
+filter's pass, :func:`propagate` is the one loop over observation intervals:
+``simulate`` and the forecasts run it.
 """
 
 from __future__ import annotations
@@ -228,6 +230,31 @@ def check_covariates(model: PompModel, covs: CovariateTable | None, grid: TimeGr
             )
 
 
+def propagate(
+    model: PompModel,
+    X: np.ndarray,
+    theta: Theta,
+    grid: TimeGrid,
+    covs: CovariateTable | None,
+    rng: np.random.Generator | None,
+    cols: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one forward loop: run the particles ``X`` (J, S) from ``grid.t0``
+    through each observation interval (:func:`advance`, then an observation
+    draw). Returns the columns ``cols`` of the states at t0 and at each
+    observation time, (J, N+1, C), and the observations, (J, N, U).
+    """
+    check_covariates(model, covs, grid)
+    states = np.empty((X.shape[0], grid.n_obs + 1, len(cols)))
+    observations = np.empty((X.shape[0], grid.n_obs, model.n_units))
+    states[:, 0] = X[:, cols]
+    for n, (t_prev, t_next) in enumerate(grid.intervals()):
+        X = advance(model, X, t_prev, t_next, theta, covs, grid, rng)
+        states[:, n + 1] = X[:, cols]
+        observations[:, n] = model.runit_measure(X, t_next, theta, rng)
+    return states, observations
+
+
 def simulate(
     model: PompModel,
     params: ParameterSet,
@@ -236,7 +263,8 @@ def simulate(
     n_sims: int = 1,
     seed: int = 0,
 ) -> SimulationResult:
-    """Draw ``n_sims`` independent realizations of the model.
+    """Draw ``n_sims`` independent realizations of the model: ``rinit``, then
+    :func:`propagate` over ``grid``, recording every state.
 
     Equal (seed, inputs) reproduce bit-identical output regardless of the
     worker count: all randomness comes from a single counter-based stream
@@ -244,7 +272,6 @@ def simulate(
     """
     if n_sims < 1:
         raise ValidationError("n_sims must be >= 1")
-    check_covariates(model, covs, grid)
     theta = compile_theta(model, params)
     rng = make_rng(seed)
     X = np.asarray(model.rinit(theta, n_sims, rng), dtype=float)
@@ -252,14 +279,7 @@ def simulate(
         raise ValidationError(
             f"rinit returned shape {X.shape}, expected {(n_sims, model.n_states)}"
         )
-    n_obs = grid.n_obs
-    states = np.empty((n_sims, n_obs + 1, model.n_states))
-    observations = np.empty((n_sims, n_obs, model.n_units))
-    states[:, 0] = X
-    for n, (t_prev, t_next) in enumerate(grid.intervals()):
-        X = advance(model, X, t_prev, t_next, theta, covs, grid, rng)
-        states[:, n + 1] = X
-        observations[:, n] = model.runit_measure(X, t_next, theta, rng)
+    states, observations = propagate(model, X, theta, grid, covs, rng, np.arange(model.n_states))
     return SimulationResult(
         model_name=model.name,
         units=model.units,

@@ -363,7 +363,7 @@ def test_criterion_12_elimination_predicate():
     data = simulate(m, m.params, g, n_sims=1, seed=3).observation_series(0)
     pf = particle_filter(m, m.params, data, g, J=30, seed=0)
     res = forecast_from_filter(
-        m, m.params.replace({"beta": 1e-12}), pf.filter_sample, "V0", None,
+        m, m.params.replace({"beta": 1e-12}), pf.filter_sample, None,
         origin=g.t_end, horizon_weeks=60, n_sims=25, seed=5,
         euler_step=1.0, week_duration=1.0,
     )

@@ -16,7 +16,8 @@ from epipomp.forecast import forecast_from_filter, trajectory_projection
 from epipomp.haiti import apply_vaccination_scenario, builtin_scenario
 from epipomp.model import simulate
 from epipomp.filtering import particle_filter
-from epipomp.toys import sir_model, toy_grid
+from epipomp.series import ObservationSeries
+from epipomp.toys import hmm_model, sir_model, toy_grid
 
 
 def run(*argv) -> int:
@@ -114,7 +115,7 @@ class TestForecastSimulatesTheFilteredModel:
             bundle.model, bundle.params, bundle.data, bundle.grid, bundle.covs, J=J, seed=seed
         )
         res = forecast_from_filter(
-            bundle.model, bundle.params, pf.filter_sample, "V0", bundle.covs,
+            bundle.model, bundle.params, pf.filter_sample, bundle.covs,
             bundle.grid.t_end, horizon, n_sims, seed=seed + 1, window=52,
             euler_step=bundle.grid.euler_step,
         )
@@ -146,7 +147,7 @@ class TestForecastSimulatesTheFilteredModel:
         fitted_weeks = bundle.data.n_obs
         projections = [
             trajectory_projection(
-                model, bundle.params, "V1", None, 0.0, fitted_weeks + horizon, euler_step=step
+                model, bundle.params, None, 0.0, fitted_weeks + horizon, euler_step=step
             )
             for step in (bundle.grid.euler_step, 2.0 * bundle.grid.euler_step)
         ]
@@ -192,6 +193,41 @@ class TestToyForecastWithCandidates:
         assert 0.0 <= summary["elimination_probability"] <= 1.0
 
 
+class TestForecastRefusals:
+    """A forecast that cannot measure elimination exits 2 (validation)."""
+
+    @staticmethod
+    def forecast(tmp_path, model, *sets) -> tuple[int, dict]:
+        m = {"toy:sir": sir_model, "toy:hmm": hmm_model}[model]()
+        obs = simulate(m, m.params, toy_grid(20), n_sims=1, seed=3).observations[0]
+        dates = [(dt.date(2021, 1, 2) + dt.timedelta(weeks=k)).isoformat() for k in range(20)]
+        cases = tmp_path / "cases.csv"
+        io.save_cases(ObservationSeries(m.units, obs.T, tuple(dates)), cases)
+        out = tmp_path / "fc"
+        argv = ["forecast", "--seed", "5", "--out", str(out), "--set", f"model={model}",
+                "--set", f"data.cases={cases}", "--set", "forecast.J=50",
+                "--set", "forecast.n_sims=5", "--set", "forecast.horizon_weeks=60"]
+        for item in sets:
+            argv += ["--set", item]
+        code = run(*argv)
+        return code, json.loads((out / "summary.json").read_text())
+
+    def test_model_without_true_infections_refused(self, tmp_path):
+        code, summary = self.forecast(tmp_path, "toy:hmm")
+        assert code == 2
+        assert "one true-infection accumulator per unit" in summary["error"]
+
+    def test_zero_simulations_refused(self, tmp_path):
+        code, summary = self.forecast(tmp_path, "toy:sir", "forecast.n_sims=0")
+        assert code == 2
+        assert summary["error"] == "n_sims must be >= 1"
+
+    def test_zero_week_window_refused(self, tmp_path):
+        code, summary = self.forecast(tmp_path, "toy:sir", "forecast.window=0")
+        assert code == 2
+        assert "elimination window must be at least one week" in summary["error"]
+
+
 class TestForecastDeterminism:
     def test_same_seed_same_probability(self):
         m = sir_model()
@@ -202,8 +238,8 @@ class TestForecastDeterminism:
             covs=None, origin=g.t_end, horizon_weeks=70, n_sims=40,
             euler_step=1.0, week_duration=1.0,
         )
-        a = forecast_from_filter(m, m.params, pf.filter_sample, "V0", seed=9, **kwargs)
-        b = forecast_from_filter(m, m.params, pf.filter_sample, "V0", seed=9, **kwargs)
+        a = forecast_from_filter(m, m.params, pf.filter_sample, seed=9, **kwargs)
+        b = forecast_from_filter(m, m.params, pf.filter_sample, seed=9, **kwargs)
         assert a.probability == b.probability
         assert np.array_equal(a.true_infections, b.true_infections)
 

@@ -15,7 +15,8 @@ from epipomp.forecast import (
     trajectory_projection,
 )
 from epipomp.model import simulate
-from epipomp.toys import pure_death_model, sir_model, toy_grid
+from epipomp.params import family_key
+from epipomp.toys import metapop_model, pure_death_model, sir_model, toy_grid
 
 
 def brute_force_eliminates(x: np.ndarray, window: int) -> bool:
@@ -78,14 +79,11 @@ class TestEliminationPredicate:
 class TestForecastFromFilter:
     def test_identical_particles_deterministic_model_identical_trajectories(self):
         m = pure_death_model(stochastic=False)
-        sample = np.tile(np.array([[50.0, 0.0]]), (10, 1))
-        res = forecast_from_filter(
-            m, m.params, sample, "V0", None, origin=0.0, horizon_weeks=60,
-            n_sims=6, seed=1, euler_step=0.5, week_duration=1.0, retain_states=True,
-        )
+        params = m.params.replace({"i0": 50})
+        res = simulate(m, params, toy_grid(60, euler_step=0.5), n_sims=6, seed=1)
         for s in range(1, 6):
-            np.testing.assert_array_equal(res.latent[s], res.latent[0])
-        infected = res.latent[0, :, m.state_index("I")]
+            np.testing.assert_array_equal(res.states[s], res.states[0])
+        infected = res.states[0, 1:, m.state_index("I")]
         assert infected[0] < 50.0 and np.all(np.diff(infected) < 0)
 
     def test_zero_transmission_always_eliminates(self):
@@ -95,7 +93,7 @@ class TestForecastFromFilter:
         data = simulate(m, m.params, g, n_sims=1, seed=3).observation_series(0)
         pf = particle_filter(m, m.params, data, g, J=30, seed=0)
         res = forecast_from_filter(
-            m, params, pf.filter_sample, "V0", None, origin=g.t_end,
+            m, params, pf.filter_sample, None, origin=g.t_end,
             horizon_weeks=60, n_sims=20, seed=5, euler_step=1.0, week_duration=1.0,
         )
         assert res.probability == 1.0
@@ -104,22 +102,47 @@ class TestForecastFromFilter:
         # 10 infecteds each recover w.p. 0.5/week: P(none left by week 10)
         m = pure_death_model(stochastic=True)
         params = m.params.replace({"mu": np.log(2.0), "i0": 10})
-        sample = np.zeros((1, 2))
-        sample[0, 0] = 10.0
         n_sims = 4000
-        res = forecast_from_filter(
-            m, params, sample, "V0", None, origin=0.0, horizon_weeks=60,
-            n_sims=n_sims, seed=11, euler_step=1.0, retain_states=True, week_duration=1.0,
-        )
-        p_hat = np.mean(res.latent[:, 9, 0] == 0.0)
+        res = simulate(m, params, toy_grid(60), n_sims=n_sims, seed=11)
+        p_hat = np.mean(res.states[:, 10, 0] == 0.0)
         p_exact = (1.0 - 0.5**10) ** 10
         assert p_exact == pytest.approx(0.990277, abs=1e-6)
         assert abs(p_hat - p_exact) < 3 * se_proportion(p_exact, n_sims)
 
+    def test_dominant_candidate_forecasts_as_its_parameters(self):
+        # all the likelihood weight on A: every draw is A, so the stacked
+        # theta must forecast exactly as A passed directly
+        m = metapop_model()
+        a = m.params.replace({family_key("beta", "north"): 2.6})
+        b = m.params.replace({family_key("beta", "south"): 0.4})
+        sample = simulate(m, m.params, toy_grid(6), n_sims=20, seed=4).states[:, -1]
+        kwargs = dict(
+            covs=None, origin=6.0, horizon_weeks=60, n_sims=12, seed=8,
+            euler_step=1.0, week_duration=1.0,
+        )
+        weighted = forecast_from_filter(
+            m, m.params, sample, param_candidates=[(a, 0.0), (b, -1e6)], **kwargs
+        )
+        direct = forecast_from_filter(m, a, sample, **kwargs)
+        np.testing.assert_array_equal(weighted.true_infections, direct.true_infections)
+        np.testing.assert_array_equal(weighted.reported, direct.reported)
+
+    def test_forecast_from_the_rinit_start_is_simulate(self):
+        # a forecast is simulation from given states: one particle equal to
+        # rinit's start reproduces simulate's stream draw for draw
+        m = sir_model()
+        sim = simulate(m, m.params, toy_grid(60), n_sims=8, seed=21)
+        start = sim.states[:1, 0]
+        res = forecast_from_filter(
+            m, m.params, start, None, 0.0, 60, 8, seed=21, euler_step=1.0, week_duration=1.0
+        )
+        np.testing.assert_array_equal(res.true_infections[:, :, 0], sim.state_series("C_inc")[:, 1:])
+        np.testing.assert_array_equal(res.reported, sim.observations)
+
     def test_empty_filter_sample_fails(self):
         m = pure_death_model()
         with pytest.raises(ValidationError):
-            forecast_from_filter(m, m.params, np.zeros((0, 2)), "V0", None, 0.0, 60, 5, 0, week_duration=1.0)
+            forecast_from_filter(m, m.params, np.zeros((0, 2)), None, 0.0, 60, 5, 0, week_duration=1.0)
 
     def test_horizon_exceeding_covariates_fails(self):
         from epipomp.series import CovariateTable
@@ -131,7 +154,7 @@ class TestForecastFromFilter:
         sample = np.zeros((3, 4))
         sample[:, 0] = 100.0
         with pytest.raises(ValidationError):
-            forecast_from_filter(m, m.params, sample, "V0", covs, 0.0, 520, 5, 0)
+            forecast_from_filter(m, m.params, sample, covs, 0.0, 520, 5, 0)
 
 
 class TestTrajectoryProjection:
@@ -140,7 +163,7 @@ class TestTrajectoryProjection:
         params = m.params.replace({"psi": 1e-12})
         # the sir toy uses an NB measurement; the band formula is log-normal,
         # exercised through the projection surface
-        proj = trajectory_projection(m, params, "V0", None, 0.0, 30, euler_step=0.5, week_duration=1.0)
+        proj = trajectory_projection(m, params, None, 0.0, 30, euler_step=0.5, week_duration=1.0)
         np.testing.assert_allclose(proj.lower, proj.mean_reported, atol=1e-6)
         np.testing.assert_allclose(proj.upper, proj.mean_reported, atol=1e-6)
 
@@ -149,7 +172,7 @@ class TestTrajectoryProjection:
 
         m = sir_model(stochastic=False)
         params = m.params.replace({"psi": 0.3})
-        proj = trajectory_projection(m, params, "V0", None, 0.0, 20, euler_step=0.5, week_duration=1.0)
+        proj = trajectory_projection(m, params, None, 0.0, 20, euler_step=0.5, week_duration=1.0)
         z = 1.959964
         np.testing.assert_allclose(
             proj.upper, np.exp(np.log(proj.mean_reported + 1.0) + z * 0.3) - 1.0, rtol=1e-6
@@ -159,7 +182,7 @@ class TestTrajectoryProjection:
         )
         for level in (0.5, 0.9, 0.95):
             proj = trajectory_projection(
-                m, params, "V0", None, 0.0, 20, euler_step=0.5, week_duration=1.0, level=level
+                m, params, None, 0.0, 20, euler_step=0.5, week_duration=1.0, level=level
             )
             z = stats.norm.ppf(0.5 + level / 2.0)
             log_mean = np.log(proj.mean_reported + 1.0)
@@ -169,7 +192,7 @@ class TestTrajectoryProjection:
     def test_stochastic_model_rejected(self):
         m = sir_model(stochastic=True)
         with pytest.raises(ValidationError):
-            trajectory_projection(m, m.params, "V0", None, 0.0, 60)
+            trajectory_projection(m, m.params, None, 0.0, 60)
 
     def test_vaccination_never_increases_cumulative_infections(self):
         # deterministic skeleton: V4-style dosing removes susceptibles, so
@@ -189,8 +212,8 @@ class TestTrajectoryProjection:
         # epidemics overtake the baseline (honeymoon effect), so the
         # comparison is only meaningful while protection is active
         horizon = 104
-        proj_v4 = trajectory_projection(m_v4, m_v4.params, "V4", None, 0.0, horizon)
-        proj_v0 = trajectory_projection(m_v0, m_v0.params, "V0", None, 0.0, horizon)
+        proj_v4 = trajectory_projection(m_v4, m_v4.params, None, 0.0, horizon)
+        proj_v0 = trajectory_projection(m_v0, m_v0.params, None, 0.0, horizon)
         ti_cols = [m_v0.state_index(c) for c in m_v0.true_infection_states]
         cum_v4 = proj_v4.latent[:, ti_cols].sum()
         cum_v0 = proj_v0.latent[:, ti_cols].sum()

@@ -10,7 +10,6 @@ from conftest import mc_se_mean
 
 from epipomp.errors import ValidationError
 from epipomp.filtering import particle_filter
-from epipomp.forecast import forecast_from_filter
 from epipomp.grid import TimeGrid
 from epipomp.haiti.geography import synthetic_geography
 from epipomp.haiti.model3 import (
@@ -248,15 +247,13 @@ class TestConservation:
         sched = apply_vaccination_scenario(builtin_scenario("V4", geo), "model3", geo, origin=origin)
         assert sched.n_cohorts > 0
         m = build_model3(INIT_OBS, geo, schedule=sched)
-        start = m.rinit(compile_theta(m, m.params), 4, make_rng(3))
-        res = forecast_from_filter(
-            m, m.params, start, "V4", covs, origin, horizon_weeks=104, n_sims=4, seed=5, retain_states=True
-        )
+        grid = TimeGrid(origin, origin + np.arange(1, 105) * WEEK, euler_step=WEEK / 7)
+        res = simulate(m, m.params, grid, covs, n_sims=4, seed=3)
         pops = np.tile(np.round(geo.populations), (4, 1))
-        for h in range(104):
-            np.testing.assert_array_equal(person_counts(m, res.latent[:, h, :], geo.n_units), pops)
+        for h in range(105):
+            np.testing.assert_array_equal(person_counts(m, res.states[:, h, :], geo.n_units), pops)
         V = len(m.state_names) // geo.n_units
-        vaccinated = res.latent[:, -1, :].reshape(4, geo.n_units, V)[:, :, 1 : sched.n_cohorts + 1]
+        vaccinated = res.states[:, -1, :].reshape(4, geo.n_units, V)[:, :, 1 : sched.n_cohorts + 1]
         assert vaccinated.sum() > 0
 
     def test_hurricane_continuity_jump(self, geo, covs):

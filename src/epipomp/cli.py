@@ -33,7 +33,7 @@ from . import __version__, io
 from .benchmark import fit_benchmark
 from .errors import ConfigError, CoverageError, DataFormatError, EpipompError, ValidationError
 from .filtering import particle_filter
-from .forecast import forecast_from_filter, trajectory_projection
+from .forecast import check_window, forecast_from_filter, trajectory_projection
 from .grid import TimeGrid, weekly_grid
 from .haiti import (
     GeographyData,
@@ -655,9 +655,9 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
         geo = bundle.geography
         if cfg["data"]["scenario_file"]:
             path = _read_input(Path(cfg["data"]["scenario_file"]), inputs)
-            spec = io.load_scenario(path, scenario_id, bundle.origin_date, horizon)
+            spec = io.load_scenario(path, scenario_id, bundle.origin_date)
         else:
-            spec = builtin_scenario(scenario_id, geo, horizon_weeks=horizon)
+            spec = builtin_scenario(scenario_id, geo)
         schedule = apply_vaccination_scenario(spec, bundle.model_id, geo, origin=origin)
     model_fc = bundle.build_model(schedule)
 
@@ -684,6 +684,8 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
             "notes": ["deterministic model: trajectories only, elimination probability not defined"],
         }
 
+    window = int(fc["window"])
+    check_window(window, horizon)  # before the filter, not after every simulation
     pf = particle_filter(
         bundle.model, bundle.params, bundle.data, bundle.grid, bundle.covs,
         J=int(fc["J"]), seed=seed, blocks=cfg["blocks"],
@@ -694,7 +696,7 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
     )
     res = forecast_from_filter(
         model_fc, bundle.params, sample, bundle.covs,
-        origin, horizon, int(fc["n_sims"]), seed=seed + 1, window=int(fc["window"]),
+        origin, horizon, int(fc["n_sims"]), seed=seed + 1, window=window,
         euler_step=bundle.grid.euler_step, param_candidates=candidates,
         week_duration=1.0 if toy else WEEK,
     )

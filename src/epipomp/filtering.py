@@ -111,9 +111,8 @@ def particle_filter(
     grid: TimeGrid,
     covs: CovariateTable | None = None,
     J: int = 1000,
-    seed: int = 0,
+    seed: int | np.random.SeedSequence = 0,
     blocks: Sequence[Sequence[str]] | None = None,
-    rng: np.random.Generator | None = None,
 ) -> PfResult:
     """Bootstrap particle filter log-likelihood estimate.
 
@@ -122,9 +121,7 @@ def particle_filter(
     measurement density and trigger no resampling at that time/unit.
     """
     theta = compile_theta(model, params)
-    return _filter_pass(
-        model, theta, data, grid, covs, J, rng if rng is not None else make_rng(seed), blocks
-    )
+    return _filter_pass(model, theta, data, grid, covs, J, make_rng(seed), blocks)
 
 
 def _filter_pass(

@@ -50,22 +50,27 @@ def longest_zero_run(x: np.ndarray) -> int:
     return best
 
 
+def check_window(window: int, horizon_weeks: int) -> None:
+    """Require ``1 <= window <= horizon_weeks`` for an elimination window."""
+    if window < 1:
+        raise ValidationError(f"the elimination window must be at least one week, not {window}")
+    if horizon_weeks < window:
+        raise ValidationError(
+            f"forecast horizon ({horizon_weeks} weeks) is shorter than the elimination window ({window})"
+        )
+
+
 def elimination_probability(
     true_infections, window: int = ELIMINATION_WINDOW
 ) -> tuple[float, np.ndarray]:
     """Fraction of simulations with >= ``window`` consecutive weeks of zero
     national new infections, from a (n_sims, H[, U]) array. Returns
     (probability, per-sim flags)."""
-    if window < 1:
-        raise ValidationError(f"the elimination window must be at least one week, not {window}")
     arr = np.asarray(true_infections, dtype=float)
     if arr.ndim == 2:
         arr = arr[:, :, None]
     n_sims, horizon, _ = arr.shape
-    if horizon < window:
-        raise ValidationError(
-            f"forecast horizon ({horizon} weeks) is shorter than the elimination window ({window})"
-        )
+    check_window(window, horizon)
     national = arr.sum(axis=2)
     flags = np.array([longest_zero_run(national[i]) >= window for i in range(n_sims)])
     return float(np.sum(flags)) / n_sims, flags
@@ -132,6 +137,7 @@ def forecast_from_filter(
         raise ValidationError("n_sims must be >= 1")
     if len(model.true_infection_states) != model.n_units:
         raise ValidationError(f"model {model.name!r} must track one true-infection accumulator per unit")
+    check_window(window, horizon_weeks)
     grid = _horizon_grid(origin, horizon_weeks, euler_step, week_duration)
 
     rng = make_rng(seed)

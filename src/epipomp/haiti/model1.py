@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..euler import euler_multinomial, gamma_increment, poisson_inflow
 from ..measures import nb_logpmf, nb_sample
-from ..model import PompModel, scalar_param
+from ..model import PompModel
 from ..params import ParamDef, ParameterSet
 from ..splines import periodic_bspline_basis
 from ..units import WEEK, WEEKS_PER_YEAR, per_day, weekly_variance
@@ -140,16 +140,17 @@ def build_model1(
         return out
 
     def phase_value(theta, t: float, epi: str, end: str):
-        return scalar_param(theta, epi) if t < brk else scalar_param(theta, end)
+        return theta[epi] if t < brk else theta[end]
 
+    # parameters and particle totals are (J, 1) columns; X[:, iS[:1]] is cohort 0
     def rinit(theta, J, rng):
-        pop_v = np.broadcast_to(scalar_param(theta, "pop"), (J,))
-        i0 = np.round(pop_v * np.broadcast_to(scalar_param(theta, "i0_frac"), (J,)))
-        e0 = np.round(pop_v * np.broadcast_to(scalar_param(theta, "e0_frac"), (J,)))
+        pop_v = np.broadcast_to(theta["pop"], (J, 1))
+        i0 = np.round(pop_v * theta["i0_frac"])
+        e0 = np.round(pop_v * theta["e0_frac"])
         X = np.zeros((J, len(state_names)))
-        X[:, iS[0]] = np.round(pop_v) - i0 - e0
-        X[:, iE[0]] = e0
-        X[:, iI[0]] = i0
+        X[:, iS[:1]] = np.round(pop_v) - i0 - e0
+        X[:, iE[:1]] = e0
+        X[:, iI[:1]] = i0
         return X
 
     def step(X, t, dt, theta, covs, rng):
@@ -159,29 +160,27 @@ def build_model1(
         I = X[:, iI].astype(np.int64)
         A = X[:, iA].astype(np.int64)
         R = X[:, iR].astype(np.int64)
-        n_alive = (S + E + I + A + R).sum(axis=1)
+        n_alive = (S + E + I + A + R).sum(axis=1, keepdims=True)
 
-        coeffs = [scalar_param(theta, f"beta{j + 1}") for j in range(6)]
-        beta_wk = seasonal_beta(t, coeffs, scalar_param(theta, "zeta"), t0_w, t_end_w)
-        sig = phase_value(theta, t, "sigma_proc_epi", "sigma_proc_end")
-        sigma2 = weekly_variance(np.asarray(sig, dtype=float) ** 2)
-        noise = gamma_increment(np.full(J, dt), np.broadcast_to(sigma2, (J,)), rng) / dt
+        coeffs = [theta[f"beta{j + 1}"] for j in range(6)]
+        beta_wk = seasonal_beta(t, coeffs, theta["zeta"], t0_w, t_end_w)
+        sigma2 = weekly_variance(np.square(phase_value(theta, t, "sigma_proc_epi", "sigma_proc_end")))
+        noise = gamma_increment(np.full((J, 1), dt), np.broadcast_to(sigma2, (J, 1)), rng) / dt
         lam = model1_force_of_infection(
-            I.sum(axis=1), A.sum(axis=1), noise, beta_wk,
-            n_alive, scalar_param(theta, "epsilon"), scalar_param(theta, "nu"),
+            I.sum(axis=1, keepdims=True), A.sum(axis=1, keepdims=True), noise, beta_wk,
+            n_alive, theta["epsilon"], theta["nu"],
         )
 
-        mu_ei = scalar_param(theta, "mu_ei")
-        mu_ir = scalar_param(theta, "mu_ir")
-        mu_rs = scalar_param(theta, "mu_rs")
-        death = scalar_param(theta, "delta")
+        mu_ei = theta["mu_ei"]
+        mu_ir = theta["mu_ir"]
+        death = theta["delta"]
         fz = symptomatic_fractions(t)
 
         # cohort-0 vaccination: per-capita rate toward each active cohort
         if Z:
             dosing = schedule.rates_at(t)[0] * WEEKS_PER_YEAR  # persons/yr per cohort
-            n0 = np.maximum(S[:, 0] + E[:, 0] + I[:, 0] + A[:, 0] + R[:, 0], 1)
-            eta = dosing[None, :] / n0[:, None]  # (J, Z)
+            n0 = np.maximum(S[:, :1] + E[:, :1] + I[:, :1] + A[:, :1] + R[:, :1], 1)
+            eta = dosing[None, :] / n0  # (J, Z)
         else:
             eta = np.zeros((J, 0))
 
@@ -192,19 +191,18 @@ def build_model1(
         newR = R.copy()
         # S, I, A and R leave toward (next compartment, each cohort, death);
         # E, toward (I, A, each cohort, death), is drawn on its own
-        onward = np.stack(np.broadcast_arrays(lam, mu_ir, mu_ir, mu_rs), axis=-1)  # (J, 4)
-        dth = np.asarray(death, dtype=float).reshape(-1, 1)  # (1, 1) or (J, 1)
+        onward = np.hstack(np.broadcast_arrays(lam, mu_ir, mu_ir, theta["mu_rs"]))  # (J, 4)
 
         # cohort 0: one draw for S, I, A and R, counts (J, 4), rates (J, 4, 2 + Z)
         rates0 = np.empty((J, 4, 2 + Z))
         rates0[:, :, 0] = onward
         rates0[:, :, 1 : 1 + Z] = eta[:, None, :]
-        rates0[:, :, 1 + Z] = dth
+        rates0[:, :, 1 + Z] = death
         flows0 = euler_multinomial(np.stack([S[:, 0], I[:, 0], A[:, 0], R[:, 0]], axis=-1), rates0, dt, rng)
         s0, i0, a0, r0 = (flows0[:, c] for c in range(4))
         out0 = flows0.sum(axis=-1)  # (J, 4): leaving S, I, A, R
-        one = np.ones(J)
-        e0 = euler_multinomial(E[:, 0], np.column_stack([mu_ei * one, np.zeros(J), eta, death * one]), dt, rng)
+        e_exits = np.hstack([np.broadcast_to(mu_ei, (J, 1)), np.zeros((J, 1)), eta, np.broadcast_to(death, (J, 1))])
+        e0 = euler_multinomial(E[:, 0], e_exits, dt, rng)
         newS[:, 0] += -out0[:, 0] + r0[:, 0]
         newE[:, 0] += s0[:, 0] - e0.sum(axis=-1)
         newI[:, 0] += e0[:, 0] - out0[:, 1]
@@ -223,14 +221,13 @@ def build_model1(
             # One draw for S, I, A and R: counts (J, 4, Z), rates (J, 4, Z, 2)
             ratesZ = np.empty((J, 4, Z, 2))
             ratesZ[..., 0] = onward[:, :, None]
-            ratesZ[..., 1] = dth[:, :, None]
+            ratesZ[..., 1] = np.asarray(death)[..., None]
             flowsZ = euler_multinomial(np.stack([S[:, 1:], I[:, 1:], A[:, 1:], R[:, 1:]], axis=1), ratesZ, dt, rng)
             sz, iz, az, rz = (flowsZ[:, c] for c in range(4))
             outZ = flowsZ.sum(axis=-1)  # (J, 4, Z)
-            muei = np.asarray(mu_ei, dtype=float).reshape(-1, 1)
             ez = euler_multinomial(
                 E[:, 1:],
-                np.stack(np.broadcast_arrays(muei * (1.0 - fz), muei * fz, dth), axis=-1),
+                np.stack(np.broadcast_arrays(mu_ei * (1.0 - fz), mu_ei * fz, death), axis=-1),
                 dt, rng,
             )
             newS[:, 1:] += -outZ[:, 0] + rz[:, :, 0]
@@ -241,8 +238,8 @@ def build_model1(
             new_inf = new_inf + sz[:, :, 0].sum(axis=1)
             new_sympt = new_sympt + ez[:, :, 0].sum(axis=1)
 
-        births = poisson_inflow(scalar_param(theta, "mu_birth") * n_alive, dt, rng)
-        newS[:, 0] += births
+        births = poisson_inflow(theta["mu_birth"] * n_alive, dt, rng)
+        newS[:, :1] += births
 
         out = X.copy()
         out[:, iS] = newS
@@ -255,14 +252,10 @@ def build_model1(
         return out
 
     def dunit(y, X, t, theta):
-        mean = scalar_param(theta, "rho") * X[:, iCI]
-        psi = phase_value(theta, t, "psi_epi", "psi_end")
-        return nb_logpmf(y[0], mean, psi)[:, None]
+        return nb_logpmf(y, theta["rho"] * X[:, iCI, None], phase_value(theta, t, "psi_epi", "psi_end"))
 
     def runit(X, t, theta, rng):
-        mean = scalar_param(theta, "rho") * X[:, iCI]
-        psi = phase_value(theta, t, "psi_epi", "psi_end")
-        return nb_sample(mean, np.broadcast_to(np.asarray(psi, dtype=float), mean.shape), rng)[:, None]
+        return nb_sample(theta["rho"] * X[:, iCI, None], phase_value(theta, t, "psi_epi", "psi_end"), rng)
 
     return PompModel(
         name=name,

@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..euler import rk4_step
 from ..measures import lognormal_case_logpdf, lognormal_case_sample
-from ..model import PompModel, unit_param
+from ..model import PompModel
 from ..params import ParamDef, ParameterSet, family_key
 from ..units import per_day, per_week, WEEKS_PER_YEAR
 from .efficacy import ONE_DOSE_MEDIAN, TWO_DOSE_MEDIAN, UNDER5_EFFICACY_FACTOR
@@ -123,8 +123,7 @@ def build_model2(
     iW, iCI, iTI, iCL = sl["W"], sl["CI"], sl["TI"], sl["CLAMP"]
 
     def rinit(theta, J, rng):
-        rho = unit_param(theta, "rho")
-        i0 = init_cases[None, :] / rho  # (J or 1, U)
+        i0 = init_cases[None, :] / theta["rho"]  # (J or 1, U)
         i0 = np.broadcast_to(i0, (J, U)).copy()
         X = np.zeros((J, U, V))
         X[:, :, sl["I0"]] = i0
@@ -135,24 +134,19 @@ def build_model2(
         J = X.shape[0]
         Y = X.reshape(J, U, V)
 
-        a_seas = unit_param(theta, "a_seas")
-        phi = unit_param(theta, "phi")
-        beta_w = unit_param(theta, "beta_w")
-        wsat = unit_param(theta, "wsat")
-        beta = unit_param(theta, "beta")
-        eps = unit_param(theta, "epsilon")
-        eps_w = unit_param(theta, "epsilon_w")
-        mu_ei = unit_param(theta, "mu_ei")
-        mu_ir = unit_param(theta, "mu_ir")
-        mu_rs = unit_param(theta, "mu_rs")
-        om1 = unit_param(theta, "omega1")
-        om2 = unit_param(theta, "omega2")
-        f = unit_param(theta, "f")
-        mu_w = unit_param(theta, "mu_w")
-        delta_w = unit_param(theta, "delta_w")
-        w_r = unit_param(theta, "w_r")
+        a_seas, phi = theta["a_seas"], theta["phi"]
+        beta_w, wsat, beta = theta["beta_w"], theta["wsat"], theta["beta"]
+        eps, eps_w = theta["epsilon"], theta["epsilon_w"]
+        mu_w, delta_w, w_r = theta["mu_w"], theta["delta_w"], theta["w_r"]
+        # per-cohort rates: a trailing cohort axis against (J, U, 5) blocks
+        f3, mu_ei3, mu_ir3, mu_rs3 = (
+            np.asarray(theta[k])[..., None] for k in ("f", "mu_ei", "mu_ir", "mu_rs")
+        )
+        # vaccine-protection waning rates of cohorts 1..4
+        om1, om2 = theta["omega1"], theta["omega2"]
+        om = np.stack(np.broadcast_arrays(om1, om2, om1, om2), axis=-1)
         # v_rate is a fixed constant; per-particle search of it is not supported
-        v_rate = float(np.mean(unit_param(theta, "v_rate")))
+        v_rate = float(np.mean(theta["v_rate"]))
         T = geo.gravity_matrix(v_rate)
         T_out = T.sum(axis=1)
         TW = geo.river_flows
@@ -181,11 +175,6 @@ def build_model2(
             dR = d[:, :, R_cols]
             dRA = d[:, :, RA_cols]
 
-            f3 = f[:, :, None] if np.ndim(f) else f
-            mu_ei3 = mu_ei[:, :, None] if np.ndim(mu_ei) else mu_ei
-            mu_ir3 = mu_ir[:, :, None] if np.ndim(mu_ir) else mu_ir
-            mu_rs3 = mu_rs[:, :, None] if np.ndim(mu_rs) else mu_rs
-
             dS[:] = -inf_flow + mu_rs3 * (R + RA)
             dE[:] = inf_flow - mu_ei3 * E
             dI[:] = f3 * mu_ei3 * E - mu_ir3 * I
@@ -193,9 +182,6 @@ def build_model2(
             dR[:] = mu_ir3 * I - mu_rs3 * R
             dRA[:] = mu_ir3 * A - mu_rs3 * RA
             # waning of vaccine protection back to cohort 0
-            om = np.stack(
-                [np.broadcast_to(o, lam.shape) for o in (om1, om2, om1, om2)], axis=-1
-            ) if np.ndim(om1) or np.ndim(om2) else np.array([om1, om2, om1, om2])
             wane = om * S[:, :, 1:]
             dS[:, :, 1:] -= wane
             dS[:, :, 0] += wane.sum(-1)
@@ -232,14 +218,11 @@ def build_model2(
 
     def dunit(y, X, t, theta):
         Y = X.reshape(X.shape[0], U, V)
-        mean = unit_param(theta, "rho") * Y[:, :, iCI]
-        return lognormal_case_logpdf(y[None, :], mean, unit_param(theta, "psi"))
+        return lognormal_case_logpdf(y, theta["rho"] * Y[:, :, iCI], theta["psi"])
 
     def runit(X, t, theta, rng):
         Y = X.reshape(X.shape[0], U, V)
-        mean = unit_param(theta, "rho") * Y[:, :, iCI]
-        psi = np.broadcast_to(np.asarray(unit_param(theta, "psi"), dtype=float), mean.shape)
-        return lognormal_case_sample(mean, psi, rng)
+        return lognormal_case_sample(theta["rho"] * Y[:, :, iCI], theta["psi"], rng)
 
     return PompModel(
         name=name,

@@ -25,7 +25,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..euler import euler_multinomial, gamma_increment
 from ..measures import nb_logpmf, nb_sample
-from ..model import PompModel, unit_param
+from ..model import PompModel
 from ..params import ParamDef, ParameterSet, family_key
 from ..units import DAYS_PER_YEAR, WEEK, WEEKS_PER_YEAR, per_day, per_week, weekly_variance
 from .efficacy import AGE_CORRECTION, EfficacyCurve, default_curve
@@ -147,12 +147,12 @@ def build_model3(
         return out
 
     def rinit(theta, J, rng):
-        rho = unit_param(theta, "rho")
-        f = unit_param(theta, "f")
-        mu_ir_day = unit_param(theta, "mu_ir") / DAYS_PER_YEAR
-        hazard = mu_ir_day + (unit_param(theta, "delta") + unit_param(theta, "delta_c")) / 365.0
+        rho = theta["rho"]
+        f = theta["f"]
+        mu_ir_day = theta["mu_ir"] / DAYS_PER_YEAR
+        hazard = mu_ir_day + (theta["delta"] + theta["delta_c"]) / 365.0
         y_prev = init_obs[:, 2]  # y*_{u,-1}
-        i0_est = unit_param(theta, "i0")
+        i0_est = theta["i0"]
         I0 = np.broadcast_to(y_prev[None, :] / (7.0 * rho * hazard), (J, U)).copy()
         zero_mask = y_prev == 0.0
         if np.any(zero_mask):
@@ -174,10 +174,8 @@ def build_model3(
                 )
             R_each = np.maximum(R_each, 0.0)
         R_each = np.round(R_each)
-        factor = 1.0 + unit_param(theta, "a_rain") * median_rainfall ** unit_param(theta, "r_rain")
-        W0 = factor * dens[None, :] * unit_param(theta, "mu_w") * (
-            I0 + unit_param(theta, "epsilon_w") * A0
-        ) / unit_param(theta, "delta_w")
+        factor = 1.0 + theta["a_rain"] * median_rainfall ** theta["r_rain"]
+        W0 = factor * dens[None, :] * theta["mu_w"] * (I0 + theta["epsilon_w"] * A0) / theta["delta_w"]
         X = np.zeros((J, U, V))
         X[:, :, 0] = pops[None, :] - I0 - A0 - 3.0 * R_each
         X[:, :, iI] = I0
@@ -204,22 +202,17 @@ def build_model3(
         t_hm = covs.hurricane_time
 
         lam = model3_force_of_infection(
-            W, Y[:, :, iI], Y[:, :, iA], t,
-            unit_param(theta, "beta_w"),
-            unit_param(theta, "beta_hm"),
-            unit_param(theta, "h_hm"),
-            t_hm,
-            unit_param(theta, "beta_h"),
-            unit_param(theta, "epsilon"),
+            W, Y[:, :, iI], Y[:, :, iA], t, theta["beta_w"], theta["beta_hm"], theta["h_hm"],
+            t_hm, theta["beta_h"], theta["epsilon"],
         )  # (J, U)
-        sigma2 = weekly_variance(np.asarray(unit_param(theta, "sigma_proc"), dtype=float) ** 2)
+        sigma2 = weekly_variance(np.square(theta["sigma_proc"]))
         noise = gamma_increment(dt, sigma2, rng, size=(J, U)) / dt
         lam_noisy = lam * noise
-        f = unit_param(theta, "f")
-        death = unit_param(theta, "delta")
-        death_c = unit_param(theta, "delta_c")
-        mu_ir = unit_param(theta, "mu_ir")
-        mu_rs3 = 3.0 * unit_param(theta, "mu_rs")
+        f = theta["f"]
+        death = theta["delta"]
+        death_c = theta["delta_c"]
+        mu_ir = theta["mu_ir"]
+        mu_rs3 = 3.0 * theta["mu_rs"]
         # stacks rates along a new last axis without broadcasting shared ones to J
         stack = lambda *r: np.stack(np.broadcast_arrays(*r), axis=-1)
 
@@ -272,13 +265,9 @@ def build_model3(
         new[:, :, 0] += flows[:, :, :, 1].sum(axis=-1) + onward[:, :, 4]
 
         # water: exact decay with constant shedding over the substep
-        a_rain = unit_param(theta, "a_rain")
-        r_rain = unit_param(theta, "r_rain")
-        factor = 1.0 + a_rain * rain[None, :] ** r_rain
-        shed = factor * dens[None, :] * unit_param(theta, "mu_w") * (
-            I + unit_param(theta, "epsilon_w") * A
-        )
-        dw = unit_param(theta, "delta_w")
+        factor = 1.0 + theta["a_rain"] * rain[None, :] ** theta["r_rain"]
+        shed = factor * dens[None, :] * theta["mu_w"] * (I + theta["epsilon_w"] * A)
+        dw = theta["delta_w"]
         decay = np.exp(-dw * dt)
         newW = W * decay + shed * (1.0 - decay) / dw
 
@@ -291,14 +280,11 @@ def build_model3(
 
     def dunit(y, X, t, theta):
         Y = X.reshape(X.shape[0], U, V)
-        mean = unit_param(theta, "rho") * Y[:, :, iCI]
-        return nb_logpmf(y[None, :], mean, unit_param(theta, "psi"))
+        return nb_logpmf(y, theta["rho"] * Y[:, :, iCI], theta["psi"])
 
     def runit(X, t, theta, rng):
         Y = X.reshape(X.shape[0], U, V)
-        mean = unit_param(theta, "rho") * Y[:, :, iCI]
-        psi = np.broadcast_to(np.asarray(unit_param(theta, "psi"), dtype=float), mean.shape)
-        return nb_sample(mean, psi, rng)
+        return nb_sample(theta["rho"] * Y[:, :, iCI], theta["psi"], rng)
 
     return PompModel(
         name=name,

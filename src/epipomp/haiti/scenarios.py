@@ -29,7 +29,6 @@ from .efficacy import UNDER5_SHARE
 from .geography import GeographyData
 
 SCENARIO_IDS = ("V0", "V1", "V2", "V3", "V4")
-DEFAULT_HORIZON_WEEKS = 520
 
 
 @dataclass(frozen=True)
@@ -49,16 +48,13 @@ class CampaignRow:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A named vaccination scenario: campaign rows plus forecast horizon."""
+    """A named vaccination scenario: its campaign rows."""
 
     id: str
     rows: tuple[CampaignRow, ...] = ()
-    horizon_weeks: int = DEFAULT_HORIZON_WEEKS
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(self.rows))
-        if self.horizon_weeks < 52:
-            raise ValidationError("forecast horizon must be at least 52 weeks")
 
     @property
     def departments(self) -> tuple[str, ...]:
@@ -217,7 +213,6 @@ def builtin_scenario(
     geography: GeographyData,
     two_dose_coverage: float = 0.7,
     one_dose_coverage: float = 0.1,
-    horizon_weeks: int = DEFAULT_HORIZON_WEEKS,
 ) -> ScenarioSpec:
     """The paper's five scenarios with bundled synthetic dose schedules.
 
@@ -229,7 +224,7 @@ def builtin_scenario(
     if scenario_id not in SCENARIO_IDS:
         raise ValidationError(f"unknown scenario {scenario_id!r}; expected one of {SCENARIO_IDS}")
     if scenario_id == "V0":
-        return ScenarioSpec("V0", (), horizon_weeks)
+        return ScenarioSpec("V0")
     plans = {
         "V1": (("Centre", "Artibonite"), 104.0),
         "V2": (("Artibonite", "Centre", "Ouest"), 104.0),
@@ -252,4 +247,4 @@ def builtin_scenario(
                 doses_2=round(two_dose_coverage * pop),
             )
         )
-    return ScenarioSpec(scenario_id, tuple(rows), horizon_weeks)
+    return ScenarioSpec(scenario_id, tuple(rows))

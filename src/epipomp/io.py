@@ -235,7 +235,6 @@ def load_scenario(
     path: str | Path,
     scenario_id: str,
     origin_date: dt.date,
-    horizon_weeks: int = 520,
 ) -> ScenarioSpec:
     """One scenario's campaign rows; starts are relative to ``origin_date``.
     Every row is parsed, whichever scenario it belongs to. A scenario id
@@ -249,7 +248,7 @@ def load_scenario(
             campaign_rows.append(CampaignRow(r["department"], start, duration, doses_1, doses_2))
     if not campaign_rows and scenario_id != "V0":
         raise DataFormatError(f"{path}: no rows for scenario {scenario_id!r}")
-    return ScenarioSpec(scenario_id, tuple(campaign_rows), horizon_weeks)
+    return ScenarioSpec(scenario_id, tuple(campaign_rows))
 
 
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

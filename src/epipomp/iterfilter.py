@@ -31,8 +31,8 @@ from .errors import ValidationError
 # benchmark tracer (perfbench/tracer.py) patches them as attributes of this module.
 from .filtering import _filter_pass, particle_filter, resolve_blocks, systematic_indices
 from .grid import TimeGrid
-from .model import PompModel, advance, compile_theta
-from .params import ParameterSet, from_estimation, split_key, to_estimation
+from .model import PompModel, advance, compile_theta, make_rng
+from .params import ParamDef, ParameterSet, from_estimation, split_key, to_estimation
 from .series import CovariateTable, ObservationSeries
 
 
@@ -285,7 +285,7 @@ def _iterated_filter(
     layout = _expand_search(model, params, settings.rw_sd, blocks)
 
     children = np.random.SeedSequence(seed).spawn(2 * M + 1)
-    init_rng = np.random.Generator(np.random.Philox(children[0]))
+    init_rng = make_rng(children[0])
 
     # initial swarm on the estimation scale
     est0 = params.to_est(layout.keys)
@@ -297,6 +297,12 @@ def _iterated_filter(
             raise ValidationError(f"hypercube names unsearched parameter {name!r}")
         for ci in matches:
             tr = layout.transforms[ci]
+            try:  # both bounds inside the transform's domain, as a parameter value must be
+                ParamDef(lo, tr), ParamDef(hi, tr)
+            except ValidationError as err:
+                raise ValidationError(f"hypercube for {name!r}: {err}") from None
+            if lo > hi:
+                raise ValidationError(f"hypercube for {name!r}: lower bound {lo} exceeds upper bound {hi}")
             est = np.array([to_estimation(v, tr) for v in init_rng.uniform(lo, hi, size=J)])
             if layout.col_unit[ci] < 0:
                 est_shared[:, :, layout.col_pos[ci]] = est
@@ -308,7 +314,7 @@ def _iterated_filter(
     aborted = False
 
     for m in range(1, M + 1):
-        pass_rng = np.random.Generator(np.random.Philox(children[2 * m - 1]))
+        pass_rng = make_rng(children[2 * m - 1])
         sd_m = np.array([cooled_sd(s, settings.cooling, m) for s in layout.sds])
         swarm = _Swarm(
             model, fixed, layout, est_shared, est_unit,
@@ -329,8 +335,7 @@ def _iterated_filter(
         center = _center_params(params, layout, est_shared, est_unit)
         eval_res = particle_filter(
             model, center, data, grid, covs, J=settings.eval_particles or J,
-            rng=np.random.Generator(np.random.Philox(children[2 * m])),
-            blocks=blocks,
+            seed=children[2 * m], blocks=blocks,
         )
         trace.append(IterationRecord(m, res.loglik, eval_res.loglik, center))
         if np.isfinite(eval_res.loglik) and (best is None or eval_res.loglik >= best[0]):

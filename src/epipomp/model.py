@@ -28,9 +28,10 @@ from .series import CovariateTable, ObservationSeries
 Theta = Mapping[str, Any]  # name -> float | (1,U) | (J,1) | (J,U) array
 
 
-def make_rng(seed) -> np.random.Generator:
-    """Counter-based (Philox) generator for reproducible streams."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
+    """Counter-based (Philox) generator for reproducible streams, from an int
+    seed or a spawned ``SeedSequence``."""
+    return np.random.Generator(np.random.Philox(seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,6 +46,12 @@ class PompModel:
     - ``dunit_measure(y, X, t, theta) -> (J, U)`` per-unit observation
       log-densities for one observation row ``y`` (length U).
     - ``runit_measure(X, t, theta, rng) -> (J, U)`` observation sampler.
+
+    Every function reads a parameter as ``theta[name]``, a float or a 2-d
+    array broadcastable against (J, U): :func:`compile_theta` gives floats
+    and (1, U) family rows, and a parameter search gives a searched
+    parameter one row per particle. A one-unit model therefore computes in
+    (J, 1) columns, the shape its measures return.
 
     In a multi-unit model each state is named ``"name[unit]"`` (spelled by
     :func:`epipomp.params.family_key`), as unit-specific parameters are: the
@@ -146,21 +153,6 @@ def compile_theta(model: PompModel, params: ParameterSet) -> dict[str, Any]:
             raise ValidationError(f"parameter {base!r} is both shared and unit-specific")
         theta[base] = np.array([[by_unit[u] for u in units]])
     return theta
-
-
-def scalar_param(theta: Theta, name: str):
-    """Parameter as float or (J,) column (single-unit models)."""
-    v = theta[name]
-    if np.ndim(v) == 0:
-        return v
-    a = np.asarray(v, dtype=float)
-    return a[:, 0] if a.ndim == 2 else a
-
-
-def unit_param(theta: Theta, name: str):
-    """Parameter as float or 2-d array broadcastable against (J, U)."""
-    v = theta[name]
-    return v if np.ndim(v) == 0 else np.asarray(v, dtype=float)
 
 
 def advance(

@@ -16,7 +16,7 @@ from .errors import ValidationError
 from .euler import euler_multinomial, gamma_increment, rk4_step
 from .grid import TimeGrid
 from .measures import nb_logpmf, nb_sample, norm_logpdf
-from .model import PompModel, scalar_param, unit_param
+from .model import PompModel
 from .params import ParamDef, ParameterSet, family_key
 
 
@@ -55,60 +55,38 @@ def sir_model(
         }
     )
 
+    # every quantity is a (J, 1) column, so a per-particle theta row broadcasts
     def rinit(theta, J, rng):
-        i0 = np.round(np.broadcast_to(scalar_param(theta, "i0"), (J,)))
-        n = np.round(np.broadcast_to(scalar_param(theta, "pop"), (J,)))
-        X = np.zeros((J, 4))
-        X[:, 0] = n - i0
-        X[:, 1] = i0
-        return X
+        i0 = np.round(np.broadcast_to(theta["i0"], (J, 1)))
+        n = np.round(np.broadcast_to(theta["pop"], (J, 1)))
+        return np.hstack([n - i0, i0, np.zeros((J, 2))])
 
     def step_stochastic(X, t, dt, theta, covs, rng):
-        S = X[:, 0].astype(np.int64)
-        I = X[:, 1].astype(np.int64)
-        R = X[:, 2].astype(np.int64)
-        beta = scalar_param(theta, "beta")
-        gamma = scalar_param(theta, "gamma")
-        waning = scalar_param(theta, "waning")
-        sigma2 = np.asarray(scalar_param(theta, "sigma_proc")) ** 2
+        S, I, R = (X[:, k : k + 1].astype(np.int64) for k in range(3))
         n_alive = np.maximum(S + I + R, 1)
-        lam = beta * I / n_alive
-        noise = gamma_increment(np.full(S.shape, dt), sigma2, rng) / dt
-        inf = euler_multinomial(S, (lam * noise)[:, None], dt, rng)[:, 0]
-        rec = euler_multinomial(I, np.broadcast_to(gamma, I.shape)[:, None], dt, rng)[:, 0]
-        wane = euler_multinomial(R, np.broadcast_to(waning, R.shape)[:, None], dt, rng)[:, 0]
-        out = X.copy()
-        out[:, 0] = S - inf + wane
-        out[:, 1] = I + inf - rec
-        out[:, 2] = R + rec - wane
-        out[:, 3] = X[:, 3] + inf
-        return out
+        lam = theta["beta"] * I / n_alive
+        noise = gamma_increment(np.full(S.shape, dt), np.square(theta["sigma_proc"]), rng) / dt
+        inf = euler_multinomial(S, (lam * noise)[..., None], dt, rng)[..., 0]
+        rec = euler_multinomial(I, np.broadcast_to(theta["gamma"], I.shape)[..., None], dt, rng)[..., 0]
+        wane = euler_multinomial(R, np.broadcast_to(theta["waning"], R.shape)[..., None], dt, rng)[..., 0]
+        return np.hstack([S - inf + wane, I + inf - rec, R + rec - wane, X[:, 3:] + inf])
 
     def step_deterministic(X, t, dt, theta, covs, rng):
-        beta = scalar_param(theta, "beta")
-        gamma = scalar_param(theta, "gamma")
-        waning = scalar_param(theta, "waning")
+        beta, gamma, waning = theta["beta"], theta["gamma"], theta["waning"]
 
         def deriv(tt, Y):
-            S, I, R = Y[:, 0], Y[:, 1], Y[:, 2]
+            S, I, R = Y[:, 0:1], Y[:, 1:2], Y[:, 2:3]
             n_alive = np.maximum(S + I + R, 1e-12)
             lam = beta * I / n_alive
-            d = np.empty_like(Y)
-            d[:, 0] = -lam * S + waning * R
-            d[:, 1] = lam * S - gamma * I
-            d[:, 2] = gamma * I - waning * R
-            d[:, 3] = lam * S
-            return d
+            return np.hstack([-lam * S + waning * R, lam * S - gamma * I, gamma * I - waning * R, lam * S])
 
         return np.maximum(rk4_step(deriv, t, X, dt), 0.0)
 
     def dunit(y, X, t, theta):
-        mean = scalar_param(theta, "rho") * X[:, 3]
-        return nb_logpmf(y[0], mean, scalar_param(theta, "psi"))[:, None]
+        return nb_logpmf(y, theta["rho"] * X[:, 3:], theta["psi"])
 
     def runit(X, t, theta, rng):
-        mean = scalar_param(theta, "rho") * X[:, 3]
-        return nb_sample(mean, scalar_param(theta, "psi"), rng)[:, None]
+        return nb_sample(theta["rho"] * X[:, 3:], theta["psi"], rng)
 
     return PompModel(
         name=name,
@@ -169,26 +147,21 @@ def metapop_model(
     sl_C = sl_S + 3
 
     def rinit(theta, J, rng):
-        i0 = np.round(np.broadcast_to(scalar_param(theta, "i0"), (J,)))
+        i0 = np.round(np.broadcast_to(theta["i0"], (J, U)))  # each unit reads its own copy
         X = np.zeros((J, 4 * U))
-        for u in range(U):
-            X[:, sl_S[u]] = pops_arr[u] - i0
-            X[:, sl_I[u]] = i0
+        X[:, sl_S] = pops_arr - i0
+        X[:, sl_I] = i0
         return X
 
     def step(X, t, dt, theta, covs, rng):
         S = X[:, sl_S].astype(np.int64)
         I = X[:, sl_I].astype(np.int64)
         R = X[:, sl_R].astype(np.int64)
-        beta = unit_param(theta, "beta")
-        kappa = unit_param(theta, "coupling")
-        gamma = unit_param(theta, "gamma")
-        waning = unit_param(theta, "waning")
         other_I = I.sum(axis=1, keepdims=True) - I
-        lam = beta * (I + kappa * other_I) / pops_arr[None, :]
+        lam = theta["beta"] * (I + theta["coupling"] * other_I) / pops_arr[None, :]
         inf = euler_multinomial(S, lam[..., None], dt, rng)[..., 0]
-        rec = euler_multinomial(I, np.broadcast_to(gamma, I.shape)[..., None], dt, rng)[..., 0]
-        wane = euler_multinomial(R, np.broadcast_to(waning, R.shape)[..., None], dt, rng)[..., 0]
+        rec = euler_multinomial(I, np.broadcast_to(theta["gamma"], I.shape)[..., None], dt, rng)[..., 0]
+        wane = euler_multinomial(R, np.broadcast_to(theta["waning"], R.shape)[..., None], dt, rng)[..., 0]
         out = X.copy()
         out[:, sl_S] = S - inf + wane
         out[:, sl_I] = I + inf - rec
@@ -197,12 +170,10 @@ def metapop_model(
         return out
 
     def dunit(y, X, t, theta):
-        mean = unit_param(theta, "rho") * X[:, sl_C]
-        return nb_logpmf(y[None, :], mean, unit_param(theta, "psi"))
+        return nb_logpmf(y, theta["rho"] * X[:, sl_C], theta["psi"])
 
     def runit(X, t, theta, rng):
-        mean = unit_param(theta, "rho") * X[:, sl_C]
-        return nb_sample(mean, np.broadcast_to(unit_param(theta, "psi"), mean.shape), rng)
+        return nb_sample(theta["rho"] * X[:, sl_C], theta["psi"], rng)
 
     return PompModel(
         name=name,
@@ -303,20 +274,18 @@ def lgssm_model(a: float = 0.8, sig_proc: float = 1.0, sig_obs: float = 0.5,
     params = ParameterSet({"a": ParamDef(a), "sig_proc": ParamDef(sig_proc, "log"),
                            "sig_obs": ParamDef(sig_obs, "log")})
 
+    # X is the (J, 1) column of states
     def rinit(theta, J, rng):
-        return (x0_mean + x0_sd * rng.normal(size=J))[:, None]
+        return x0_mean + x0_sd * rng.normal(size=(J, 1))
 
     def step(X, t, dt, theta, covs, rng):
-        coef = scalar_param(theta, "a")
-        sp = scalar_param(theta, "sig_proc")
-        return (coef * X[:, 0] + sp * rng.normal(size=X.shape[0]))[:, None]
+        return theta["a"] * X + theta["sig_proc"] * rng.normal(size=X.shape)
 
     def dunit(y, X, t, theta):
-        return norm_logpdf(y[0], X[:, 0], scalar_param(theta, "sig_obs"))[:, None]
+        return norm_logpdf(y, X, theta["sig_obs"])
 
     def runit(X, t, theta, rng):
-        so = scalar_param(theta, "sig_obs")
-        return (X[:, 0] + so * rng.normal(size=X.shape[0]))[:, None]
+        return X + theta["sig_obs"] * rng.normal(size=X.shape)
 
     return PompModel(
         name="toy:lgssm",
@@ -367,39 +336,31 @@ def pure_death_model(stochastic: bool = True) -> PompModel:
         }
     )
 
+    # the infected I are the (J, 1) column X[:, :1]
     def rinit(theta, J, rng):
-        X = np.zeros((J, 2))
-        X[:, 0] = np.round(np.broadcast_to(scalar_param(theta, "i0"), (J,)))
-        return X
+        return np.hstack([np.round(np.broadcast_to(theta["i0"], (J, 1))), np.zeros((J, 1))])
 
     def step_stochastic(X, t, dt, theta, covs, rng):
-        I = X[:, 0].astype(np.int64)
-        mu = scalar_param(theta, "mu")
-        rec = euler_multinomial(I, np.broadcast_to(mu, I.shape)[:, None], dt, rng)[:, 0]
-        out = X.copy()
-        out[:, 0] = I - rec
-        return out
+        I = X[:, :1].astype(np.int64)
+        rec = euler_multinomial(I, np.broadcast_to(theta["mu"], I.shape)[..., None], dt, rng)[..., 0]
+        return np.hstack([I - rec, X[:, 1:]])
 
     def step_deterministic(X, t, dt, theta, covs, rng):
-        mu = scalar_param(theta, "mu")
+        mu = theta["mu"]
 
         def deriv(tt, Y):
-            d = np.zeros_like(Y)
-            d[:, 0] = -mu * Y[:, 0]
-            return d
+            return np.hstack([-mu * Y[:, :1], np.zeros_like(Y[:, 1:])])
 
         return rk4_step(deriv, t, X, dt)
 
     def dunit(y, X, t, theta):
-        mean = scalar_param(theta, "rho") * X[:, 0]
-        return nb_logpmf(y[0], mean, scalar_param(theta, "psi"))[:, None]
+        return nb_logpmf(y, theta["rho"] * X[:, :1], theta["psi"])
 
     def runit(X, t, theta, rng):
-        mean = scalar_param(theta, "rho") * X[:, 0]
-        return nb_sample(mean, scalar_param(theta, "psi"), rng)[:, None]
+        return nb_sample(theta["rho"] * X[:, :1], theta["psi"], rng)
 
     return PompModel(
-        name="toy:puredeath",
+        name="toy:puredeath" if stochastic else "toy:puredeath-det",
         units=("unit",),
         state_names=("I", "C_inc"),
         params=params,

@@ -140,7 +140,7 @@ class TestForecastSimulatesTheFilteredModel:
         bundle = build_bundle(deep_merge(DEFAULTS, parse_set(sets)))
         origin, geo = bundle.grid.t_end, bundle.geography
         schedule = apply_vaccination_scenario(
-            builtin_scenario("V1", geo, horizon_weeks=horizon), "model2", geo, origin=origin
+            builtin_scenario("V1", geo), "model2", geo, origin=origin
         )
         model = bundle.build_model(schedule)
         # the projection starts at week 0; the CLI prints the weeks after the fit
@@ -226,6 +226,33 @@ class TestForecastRefusals:
         code, summary = self.forecast(tmp_path, "toy:sir", "forecast.window=0")
         assert code == 2
         assert "elimination window must be at least one week" in summary["error"]
+
+
+class TestForecastWindow:
+    def test_window_beyond_horizon_refused_before_filtering(self, tmp_path, monkeypatch):
+        def no_filter(*args, **kwargs):
+            raise AssertionError("the filter ran before the window was checked")
+
+        monkeypatch.setattr("epipomp.cli.particle_filter", no_filter)
+        out = tmp_path / "fc"
+        code = run(
+            "forecast", "--seed", "0", "--out", str(out), "--set", "model=model3",
+            "--set", f"data.weeks={WEEKS}", "--set", "forecast.J=200",
+            "--set", "forecast.horizon_weeks=55", "--set", "forecast.window=60",
+        )
+        assert code == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert "shorter than the elimination window" in summary["error"]
+
+    def test_horizon_under_a_year_accepted_on_model1(self, tmp_path):
+        out = tmp_path / "fc"
+        code = run(
+            "forecast", "--seed", "0", "--out", str(out), "--set", "model=model1",
+            "--set", "data.weeks=[0,10]", "--set", "forecast.J=20", "--set", "forecast.n_sims=3",
+            "--set", "forecast.horizon_weeks=40", "--set", "forecast.window=10",
+        )
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["horizon_weeks"] == 40
 
 
 class TestForecastDeterminism:

@@ -22,7 +22,7 @@ from epipomp.iterfilter import (
 from epipomp.model import compile_theta, simulate
 from epipomp.params import split_key
 from epipomp.series import ObservationSeries
-from epipomp.toys import metapop_model, sir_model, toy_grid
+from epipomp.toys import lgssm_model, metapop_model, sir_model, toy_grid
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +74,22 @@ class TestIf2:
         m, g, data = sir_data
         st = If2Settings(J=10, M=1, rw_sd={"nope": 0.1})
         with pytest.raises(ValidationError, match="nope"):
+            if2(m, data, g, None, st, seed=0)
+
+    @pytest.mark.parametrize(
+        "build, name, bounds, match",
+        [
+            (lgssm_model, "a", (2.0, 1.0), "lower bound 2.0 exceeds upper bound 1.0"),
+            (sir_model, "beta", (-1.0, 2.0), "must be positive, got -1.0"),
+            (sir_model, "rho", (0.5, 1.5), r"must lie in \(0,1\), got 1.5"),
+        ],
+        ids=["identity", "log", "logit"],
+    )
+    def test_hypercube_outside_the_transform_domain_rejected(self, build, name, bounds, match):
+        m, g = build(), toy_grid(5)
+        data = simulate(m, m.params, g, seed=1).observation_series(0)
+        st = If2Settings(J=10, M=1, rw_sd={name: 0.1}, hypercube={name: bounds})
+        with pytest.raises(ValidationError, match=f"hypercube for '{name}': .*{match}"):
             if2(m, data, g, None, st, seed=0)
 
     def test_hypercube_initialization_selects_toward_truth(self, sir_data):

@@ -54,10 +54,6 @@ class TestScenarioDefinitions:
         with pytest.raises(ValidationError, match="Atlantis"):
             apply_vaccination_scenario(spec, "model3", geo)
 
-    def test_horizon_validation(self):
-        with pytest.raises(ValidationError):
-            ScenarioSpec("x", (), horizon_weeks=40)
-
 
 class TestScheduleMechanics:
     def test_model1_campaigns_collapse_to_one_week_pulses(self, geo):

@@ -14,7 +14,7 @@ from .forecast import (
     trajectory_projection,
 )
 from .grid import TimeGrid, weekly_grid
-from .iterfilter import IbpfSettings, If2Result, If2Settings, ibpf, if2
+from .iterfilter import If2Result, If2Settings, ibpf, if2
 from .mcap import ProfileCurve, mcap_ci, profile_design
 from .model import PompModel, SimulationResult, simulate
 from .optimize import trajectory_match
@@ -29,7 +29,6 @@ __all__ = [
     "DataFormatError",
     "EpipompError",
     "ForecastResult",
-    "IbpfSettings",
     "If2Result",
     "If2Settings",
     "ObservationSeries",

@@ -44,7 +44,7 @@ from .haiti import (
     model2 as m2,
     model3 as m3,
 )
-from .iterfilter import IbpfSettings, If2Settings, ibpf, if2
+from .iterfilter import If2Settings, ibpf, if2
 from .mcap import mcap_ci, profile_design
 from .model import PompModel, simulate
 from .optimize import trajectory_match
@@ -309,7 +309,7 @@ def _build_toy_bundle(cfg: dict, model_id: str, inputs: dict, need_data: bool) -
     steps = int(cfg["grid"]["toy_steps_per_week"])
     builders = {
         "toy:sir": lambda: sir_model(),
-        "toy:sir-det": lambda: sir_model(stochastic=False, name="toy:sir-det"),
+        "toy:sir-det": lambda: sir_model(stochastic=False),
         "toy:metapop": lambda: metapop_model(),
         "toy:puredeath": lambda: pure_death_model(),
         "toy:puredeath-det": lambda: pure_death_model(stochastic=False),
@@ -407,12 +407,12 @@ def cmd_filter(cfg: dict, out: Path, inputs: dict) -> dict:
     }
 
 
-def _fit_settings(cfg: dict, params: ParameterSet, for_blocks: bool) -> If2Settings | IbpfSettings:
+def _fit_settings(cfg: dict, params: ParameterSet) -> If2Settings:
     fit = cfg["fit"]
     rw = {k: float(v) for k, v in fit["rw_sd"].items()}
     if not rw:
         raise ConfigError("fit.rw_sd must name at least one searched parameter")
-    kwargs = dict(
+    return If2Settings(
         J=int(fit["J"]),
         M=int(fit["M"]),
         rw_sd=rw,
@@ -420,9 +420,6 @@ def _fit_settings(cfg: dict, params: ParameterSet, for_blocks: bool) -> If2Setti
         initial=params,
         eval_particles=None if fit.get("eval_particles") is None else int(fit["eval_particles"]),
     )
-    if for_blocks:
-        return IbpfSettings(blocks=cfg["blocks"], **kwargs)
-    return If2Settings(**kwargs)
 
 
 def _write_fit_outputs(out: Path, result, bundle: Bundle) -> dict:
@@ -457,7 +454,7 @@ def _write_fit_outputs(out: Path, result, bundle: Bundle) -> dict:
 def cmd_fit_if2(cfg: dict, out: Path, inputs: dict) -> dict:
     bundle = build_bundle(cfg, inputs=inputs)
     seed = _require_seed(cfg)
-    settings = _fit_settings(cfg, bundle.params, for_blocks=False)
+    settings = _fit_settings(cfg, bundle.params)
     result = if2(bundle.model, bundle.data, bundle.grid, bundle.covs, settings, seed=seed)
     return _write_fit_outputs(out, result, bundle)
 
@@ -465,8 +462,10 @@ def cmd_fit_if2(cfg: dict, out: Path, inputs: dict) -> dict:
 def cmd_fit_ibpf(cfg: dict, out: Path, inputs: dict) -> dict:
     bundle = build_bundle(cfg, inputs=inputs)
     seed = _require_seed(cfg)
-    settings = _fit_settings(cfg, bundle.params, for_blocks=True)
-    result = ibpf(bundle.model, bundle.data, bundle.grid, bundle.covs, settings, seed=seed)
+    settings = _fit_settings(cfg, bundle.params)
+    result = ibpf(
+        bundle.model, bundle.data, bundle.grid, bundle.covs, settings, seed=seed, blocks=cfg["blocks"]
+    )
     return _write_fit_outputs(out, result, bundle)
 
 
@@ -526,7 +525,7 @@ def _profile_job(cfg: dict, parameter: str, value: float, seed: int) -> tuple[fl
         loglik = trajectory_match(bundle.model, bundle.data, bundle.grid, bundle.covs, params, free).loglik
     elif method == "if2":
         rw = {k: v for k, v in cfg["fit"]["rw_sd"].items() if k != parameter}
-        settings = _fit_settings({**cfg, "fit": {**cfg["fit"], "rw_sd": rw}}, params, False)
+        settings = _fit_settings({**cfg, "fit": {**cfg["fit"], "rw_sd": rw}}, params)
         loglik = if2(bundle.model, bundle.data, bundle.grid, bundle.covs, settings, seed=seed).best_loglik
     else:
         raise ConfigError(f"unknown profile method {method!r} (expected 'if2' or 'traj')")

@@ -60,14 +60,14 @@ def gamma_increment(delta, sigma2, rng: np.random.Generator, size=None):
     return out
 
 
-def poisson_inflow(rate, delta: float, rng: np.random.Generator, size=None):
+def poisson_inflow(rate, delta: float, rng: np.random.Generator):
     """Poisson arrival count with mean ``rate * delta``; rate 0 gives 0."""
     rate = np.asarray(rate, dtype=float)
     if np.any(rate < 0.0):
         raise ValidationError(f"inflow rate must be nonnegative, got {rate}")
     if delta <= 0.0:
         raise ValidationError(f"time step must be positive, got {delta}")
-    return rng.poisson(rate * delta, size=size)
+    return rng.poisson(rate * delta)
 
 
 def exit_probabilities(rates: np.ndarray, delta: float) -> np.ndarray:

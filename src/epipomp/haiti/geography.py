@@ -106,6 +106,6 @@ def synthetic_geography() -> GeographyData:
     return GeographyData(DEPARTMENTS, pops, dens, dist, river)
 
 
-def national_population(geo: GeographyData | None = None) -> float:
-    geo = geo or synthetic_geography()
-    return float(np.sum(geo.populations))
+def national_population() -> float:
+    """Total population of the bundled synthetic geography."""
+    return float(np.sum(synthetic_geography().populations))

@@ -103,7 +103,6 @@ def build_model1(
     schedule: VaccinationSchedule | None = None,
     curve: EfficacyCurve | None = None,
     phase_break: float | None = None,
-    name: str = "model1",
 ) -> PompModel:
     """Assemble the national model.
 
@@ -258,7 +257,7 @@ def build_model1(
         return nb_sample(theta["rho"] * X[:, iCI, None], phase_value(theta, t, "psi_epi", "psi_end"), rng)
 
     return PompModel(
-        name=name,
+        name="model1",
         units=("National",),
         state_names=state_names,
         params=default_params(pop),

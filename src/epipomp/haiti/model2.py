@@ -81,7 +81,6 @@ def build_model2(
     init_cases: np.ndarray,
     geography: GeographyData | None = None,
     schedule: VaccinationSchedule | None = None,
-    name: str = "model2",
 ) -> PompModel:
     """Assemble the deterministic metapopulation model.
 
@@ -225,7 +224,7 @@ def build_model2(
         return lognormal_case_sample(theta["rho"] * Y[:, :, iCI], theta["psi"], rng)
 
     return PompModel(
-        name=name,
+        name="model2",
         units=units,
         state_names=state_names,
         params=default_params(),
@@ -240,10 +239,3 @@ def build_model2(
         validate_params=_validate,
     )
 
-
-def person_total(model: PompModel, X: np.ndarray, geography: GeographyData) -> np.ndarray:
-    """National person total of a model2 state array (J, S)."""
-    U = geography.n_units
-    V = X.shape[1] // U
-    Y = X.reshape(X.shape[0], U, V)
-    return Y[:, :, :30].sum(axis=(1, 2))

@@ -94,7 +94,6 @@ def build_model3(
     schedule: VaccinationSchedule | None = None,
     curve: EfficacyCurve | None = None,
     median_rainfall: float = 0.002376,
-    name: str = "model3",
 ) -> PompModel:
     """Assemble the stochastic metapopulation model.
 
@@ -287,7 +286,7 @@ def build_model3(
         return nb_sample(theta["rho"] * Y[:, :, iCI], theta["psi"], rng)
 
     return PompModel(
-        name=name,
+        name="model3",
         units=units,
         state_names=state_names,
         params=default_params(geo),
@@ -302,10 +301,3 @@ def build_model3(
         validate_params=_validate,
     )
 
-
-def person_counts(model: PompModel, X: np.ndarray, n_units: int) -> np.ndarray:
-    """Per-unit person totals (J, U) of a model3 state array: everything but
-    the water variable and the accumulators."""
-    V = X.shape[1] // n_units
-    Y = X.reshape(X.shape[0], n_units, V)
-    return Y[:, :, : V - 3].sum(axis=2)

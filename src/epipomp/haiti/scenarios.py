@@ -56,10 +56,6 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(self.rows))
 
-    @property
-    def departments(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(r.department for r in self.rows))
-
 
 @dataclass(frozen=True)
 class VaccinationSchedule:
@@ -91,10 +87,6 @@ class VaccinationSchedule:
             return np.zeros((len(self.units), 0))
         active = (self.windows[:, :, 0] <= t) & (t < self.windows[:, :, 1])
         return self.rates * active
-
-    def total_doses(self) -> float:
-        spans = (self.windows[:, :, 1] - self.windows[:, :, 0]) / WEEK
-        return float(np.sum(self.rates * spans))
 
 
 def empty_schedule(units: Sequence[str]) -> VaccinationSchedule:
@@ -208,18 +200,15 @@ def _schedule_model3(scenario: ScenarioSpec, units: list[str], origin: float) ->
     return VaccinationSchedule(tuple(units), windows, rates, start, dose)
 
 
-def builtin_scenario(
-    scenario_id: str,
-    geography: GeographyData,
-    two_dose_coverage: float = 0.7,
-    one_dose_coverage: float = 0.1,
-) -> ScenarioSpec:
+def builtin_scenario(scenario_id: str, geography: GeographyData) -> ScenarioSpec:
     """The paper's five scenarios with bundled synthetic dose schedules.
 
     V0: no additional vaccination. V1: Centre and Artibonite over two years.
     V2: Artibonite, Centre, and Ouest over two years. V3: countrywide over
     five years. V4: countrywide over two years (same doses as V3 at 2.5x the
     weekly rate). Departments start in staggered order across the rollout.
+    Each campaign gives two doses to 70% and one dose to 10% of its
+    department's population.
     """
     if scenario_id not in SCENARIO_IDS:
         raise ValidationError(f"unknown scenario {scenario_id!r}; expected one of {SCENARIO_IDS}")
@@ -243,8 +232,8 @@ def builtin_scenario(
                 department=dep,
                 start=start,
                 duration_weeks=duration,
-                doses_1=round(one_dose_coverage * pop),
-                doses_2=round(two_dose_coverage * pop),
+                doses_1=round(0.1 * pop),
+                doses_2=round(0.7 * pop),
             )
         )
     return ScenarioSpec(scenario_id, tuple(rows))

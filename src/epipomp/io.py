@@ -163,19 +163,6 @@ def load_cases(path: str | Path, expected_units: int | None = None) -> Observati
     return ObservationSeries(tuple(depts), mat, tuple(d.isoformat() for d in dates))
 
 
-def save_cases(series: ObservationSeries, path: str | Path) -> None:
-    """Inverse of load_cases (round-trip identity on the data values)."""
-    if series.dates is None:
-        raise DataFormatError("series has no dates; cannot write a date-indexed CSV")
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["date", "department", "cases"])
-        for n, d in enumerate(series.dates):
-            for u, dep in enumerate(series.units):
-                v = series.values[u, n]
-                w.writerow([d, dep, "NA" if np.isnan(v) else int(v)])
-
-
 def load_rainfall(path: str | Path):
     """Weekly rainfall (mm): returns (departments, dates, raw U x T matrix)."""
     depts, dates, mat = _long_table(path, "mm", integer=False)

@@ -68,14 +68,6 @@ class If2Settings:
             raise ValidationError("eval_particles must be >= 1 when given")
 
 
-@dataclass(frozen=True)
-class IbpfSettings(If2Settings):
-    """IF2 settings plus a block partition of the units (default: one block
-    per unit)."""
-
-    blocks: Sequence[Sequence[str]] | None = None
-
-
 def cooled_sd(sd0: float, cooling: float, iteration: int) -> float:
     """Random-walk sd at a given iteration under geometric cooling.
 
@@ -248,13 +240,13 @@ def ibpf(
     data: ObservationSeries,
     grid: TimeGrid,
     covs: CovariateTable | None,
-    settings: IbpfSettings,
+    settings: If2Settings,
     seed: int = 0,
+    blocks: Sequence[Sequence[str]] | None = None,
 ) -> If2Result:
-    """Iterated block particle filter parameter search (default blocks: one
-    per unit)."""
-    given = getattr(settings, "blocks", None)
-    blocks = resolve_blocks(model, given if given is not None else [[u] for u in model.units])
+    """Iterated block particle filter parameter search over a block partition
+    of the units (default: one block per unit)."""
+    blocks = resolve_blocks(model, blocks if blocks is not None else [[u] for u in model.units])
     return _iterated_filter(model, data, grid, covs, settings, blocks, seed)
 
 

@@ -23,6 +23,8 @@ from scipy.special import chdtri
 
 from .errors import ValidationError
 
+N_GRID = 1000  # points of the smoothed profile curve
+
 
 def tricube(u: np.ndarray) -> np.ndarray:
     u = np.clip(np.abs(u), 0.0, 1.0)
@@ -68,9 +70,7 @@ class ProfileCurve:
 
     parameter: str
     values: np.ndarray
-    logliks: np.ndarray
     confidence: float = 0.95
-    span: float = 0.75
     grid: np.ndarray | None = None
     smoothed: np.ndarray | None = None
     mle: float | None = None
@@ -87,7 +87,6 @@ def mcap_ci(
     logliks: np.ndarray,
     confidence: float = 0.95,
     span: float = 0.75,
-    n_grid: int = 1000,
     parameter: str = "",
 ) -> ProfileCurve:
     """Monte Carlo adjusted profile confidence interval from raw points.
@@ -95,7 +94,8 @@ def mcap_ci(
     ``values``/``logliks`` are the profile point cloud (replicates included).
     Requires at least 5 distinct grid values with finite log-likelihoods.
     A maximum or level set touching the grid boundary is flagged as an open
-    endpoint on that side.
+    endpoint on that side. The curve is smoothed on 1000 evenly spaced
+    values spanning the profile.
     """
     values = np.asarray(values, dtype=float)
     logliks = np.asarray(logliks, dtype=float)
@@ -104,7 +104,7 @@ def mcap_ci(
     if np.unique(values).size < 5:
         raise ValidationError("mcap needs >= 5 distinct profile values with finite log-likelihoods")
 
-    grid = np.linspace(values.min(), values.max(), n_grid)
+    grid = np.linspace(values.min(), values.max(), N_GRID)
     smoothed = loess_quadratic(values, logliks, grid, span=span)
     i_max = int(np.argmax(smoothed))
     mle = float(grid[i_max])
@@ -142,9 +142,7 @@ def mcap_ci(
     return ProfileCurve(
         parameter=parameter,
         values=values,
-        logliks=logliks,
         confidence=confidence,
-        span=span,
         grid=grid,
         smoothed=smoothed,
         mle=mle,
@@ -153,7 +151,7 @@ def mcap_ci(
         se_stat=float(np.sqrt(1.0 / (2.0 * a))),
         se_mc=float(np.sqrt(se_mc_sq)),
         open_lower=bool(inside[0] or i_max == 0),
-        open_upper=bool(inside[-1] or i_max == n_grid - 1),
+        open_upper=bool(inside[-1] or i_max == N_GRID - 1),
     )
 
 

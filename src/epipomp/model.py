@@ -91,9 +91,6 @@ class PompModel:
     def n_units(self) -> int:
         return len(self.units)
 
-    def state_index(self, name: str) -> int:
-        return self._position[name]
-
     def indices(self, names: Sequence[str]) -> np.ndarray:
         return np.array([self._position[n] for n in names], dtype=int)
 
@@ -186,7 +183,6 @@ class SimulationResult:
     ``observations`` has shape (n_sims, N, U).
     """
 
-    model_name: str
     units: tuple[str, ...]
     state_names: tuple[str, ...]
     times: np.ndarray
@@ -197,9 +193,6 @@ class SimulationResult:
     @property
     def n_sims(self) -> int:
         return int(self.states.shape[0])
-
-    def state_series(self, name: str) -> np.ndarray:
-        return self.states[:, :, list(self.state_names).index(name)]
 
     def observation_series(self, sim: int) -> ObservationSeries:
         obs = self.observations[sim].T
@@ -273,7 +266,6 @@ def simulate(
         )
     states, observations = propagate(model, X, theta, grid, covs, rng, np.arange(model.n_states))
     return SimulationResult(
-        model_name=model.name,
         units=model.units,
         state_names=model.state_names,
         times=grid.obs_times.copy(),

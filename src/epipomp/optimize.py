@@ -39,11 +39,10 @@ def restarted_nelder_mead(
     max_restarts: int = 10,
     xatol: float = 1e-9,
     fatol: float = 1e-11,
-    improvement_tol: float = 1e-9,
-    max_iter: int | None = None,
 ) -> OptimResult:
-    """Minimize ``f`` by Nelder-Mead, restarting at the incumbent until the
-    restart no longer improves. Deterministic for deterministic ``f``."""
+    """Minimize ``f`` by Nelder-Mead, restarting at the incumbent until a
+    restart improves it by no more than 1e-9. Each solve takes at most 400
+    iterations per dimension. Deterministic for deterministic ``f``."""
     # imported here so that commands which never optimize do not load scipy.optimize
     from scipy import optimize as sciopt
 
@@ -53,11 +52,11 @@ def restarted_nelder_mead(
     for _ in range(max_restarts):
         res = sciopt.minimize(
             f, x, method="Nelder-Mead",
-            options={"xatol": xatol, "fatol": fatol, "maxiter": max_iter or 400 * x.size},
+            options={"xatol": xatol, "fatol": fatol, "maxiter": 400 * x.size},
         )
         n_eval += int(res.nfev)
         restarts += 1
-        if res.fun < best - improvement_tol:
+        if res.fun < best - 1e-9:
             x, best = np.atleast_1d(res.x), float(res.fun)
         else:
             if res.fun < best:
@@ -98,7 +97,6 @@ def trajectory_match(
     covs: CovariateTable | None,
     params: ParameterSet | None = None,
     free: Sequence[str] = (),
-    max_restarts: int = 10,
 ) -> TrajMatchResult:
     """Maximize the skeleton measurement log-density over ``free`` parameters.
 
@@ -125,7 +123,7 @@ def trajectory_match(
             f"objective is non-finite at the starting parameters; "
             f"check free parameters {bad or free}"
         )
-    res = restarted_nelder_mead(objective, x0, max_restarts=max_restarts)
+    res = restarted_nelder_mead(objective, x0)
     return TrajMatchResult(
         best=params.from_est(free, res.x),
         loglik=-res.fun,

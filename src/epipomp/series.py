@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,30 +57,23 @@ class ObservationSeries:
         dates = self.dates[start:stop] if self.dates is not None else None
         return ObservationSeries(self.units, self.values[:, start:stop].copy(), dates, self.counts)
 
-    def aggregate(self, name: str = "National") -> "ObservationSeries":
-        """Sum counts across units; a week is missing if any unit is missing."""
+    def aggregate(self) -> "ObservationSeries":
+        """Sum counts across units into one unit, ``National``; a week is
+        missing if any unit is missing."""
         vals = self.values
         total = np.sum(vals, axis=0, keepdims=True)
         total[:, np.any(np.isnan(vals), axis=0)] = np.nan
-        return ObservationSeries((name,), total, self.dates, self.counts)
+        return ObservationSeries(("National",), total, self.dates, self.counts)
 
 
-def standardize_rainfall(raw: np.ndarray | Mapping[str, Sequence[float]],
-                         units: Sequence[str] | None = None) -> np.ndarray:
+def standardize_rainfall(raw: np.ndarray, units: Sequence[str]) -> np.ndarray:
     """Scale each unit's rainfall series by its own maximum.
 
-    Accepts a U x T array (with ``units`` naming the rows for error messages)
-    or a mapping unit -> series. Output rows lie in [0, 1] with max exactly 1.
-    A unit with no positive value has no defined scale and is rejected.
+    ``raw`` is a U x T array and ``units`` names its rows. Output rows lie in
+    [0, 1] with max exactly 1. A unit with no positive value has no defined
+    scale and is rejected.
     """
-    if isinstance(raw, Mapping):
-        units = list(raw.keys())
-        mat = np.array([np.asarray(raw[u], dtype=float) for u in units])
-    else:
-        mat = np.asarray(raw, dtype=float)
-        if mat.ndim == 1:
-            mat = mat[None, :]
-        units = list(units) if units is not None else [f"unit{i}" for i in range(mat.shape[0])]
+    mat = np.asarray(raw, dtype=float)
     if np.any(mat < 0):
         raise ValidationError("rainfall values must be nonnegative")
     maxima = mat.max(axis=1)

@@ -5,7 +5,8 @@ They exist so the inference machinery can be validated against independent
 oracles: a two-state hidden Markov model (exact forward algorithm), a scalar
 linear-Gaussian state-space model (Kalman filter), SIR/SIRS compartment
 models with known generating parameters, and pure-death chains with
-closed-form decay/extinction behavior.
+closed-form decay/extinction behavior. The exact forward-algorithm and
+Kalman references live with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,11 +31,7 @@ def toy_grid(n_obs: int, euler_step: float = 1.0) -> TimeGrid:
 # ---------------------------------------------------------------------------
 
 
-def sir_model(
-    pop: float = 5000.0,
-    stochastic: bool = True,
-    name: str = "toy:sir",
-) -> PompModel:
+def sir_model(pop: float = 5000.0, stochastic: bool = True) -> PompModel:
     """SIRS model with negative binomial reporting of weekly new infections.
 
     Rates are per week: ``beta`` transmission, ``gamma`` recovery, ``waning``
@@ -89,7 +86,7 @@ def sir_model(
         return nb_sample(theta["rho"] * X[:, 3:], theta["psi"], rng)
 
     return PompModel(
-        name=name,
+        name="toy:sir" if stochastic else "toy:sir-det",
         units=("unit",),
         state_names=("S", "I", "R", "C_inc"),
         params=params,
@@ -113,7 +110,6 @@ def metapop_model(
     units: tuple[str, ...] = ("north", "center", "south"),
     pops: tuple[float, ...] | None = None,
     coupling: float = 0.1,
-    name: str = "toy:metapop",
 ) -> PompModel:
     """U-unit SIRS metapopulation with unit-specific transmission rates.
 
@@ -176,7 +172,7 @@ def metapop_model(
         return nb_sample(theta["rho"] * X[:, sl_C], theta["psi"], rng)
 
     return PompModel(
-        name=name,
+        name="toy:metapop",
         units=tuple(units),
         state_names=state_names,
         params=params,
@@ -246,37 +242,19 @@ def hmm_model(
     )
 
 
-def hmm_forward_loglik(
-    obs: np.ndarray,
-    transition: np.ndarray,
-    emission: np.ndarray,
-    initial: np.ndarray,
-) -> float:
-    """Exact HMM log-likelihood by the forward algorithm (test oracle)."""
-    alpha = np.asarray(initial, dtype=float)
-    loglik = 0.0
-    for y in np.asarray(obs, dtype=int):
-        alpha = (alpha @ np.asarray(transition)) * np.asarray(emission)[:, y]
-        s = alpha.sum()
-        loglik += np.log(s)
-        alpha /= s
-    return float(loglik)
-
-
 # ---------------------------------------------------------------------------
 # Scalar linear-Gaussian state-space model (Kalman oracle available)
 # ---------------------------------------------------------------------------
 
 
-def lgssm_model(a: float = 0.8, sig_proc: float = 1.0, sig_obs: float = 0.5,
-                x0_mean: float = 0.0, x0_sd: float = 1.0) -> PompModel:
-    """x' = a x + sig_proc * eps per interval; y = x + sig_obs * nu."""
+def lgssm_model(a: float = 0.8, sig_proc: float = 1.0, sig_obs: float = 0.5) -> PompModel:
+    """x' = a x + sig_proc * eps per interval; y = x + sig_obs * nu; x0 ~ N(0, 1)."""
     params = ParameterSet({"a": ParamDef(a), "sig_proc": ParamDef(sig_proc, "log"),
                            "sig_obs": ParamDef(sig_obs, "log")})
 
     # X is the (J, 1) column of states
     def rinit(theta, J, rng):
-        return x0_mean + x0_sd * rng.normal(size=(J, 1))
+        return rng.normal(size=(J, 1))
 
     def step(X, t, dt, theta, covs, rng):
         return theta["a"] * X + theta["sig_proc"] * rng.normal(size=X.shape)
@@ -297,23 +275,6 @@ def lgssm_model(a: float = 0.8, sig_proc: float = 1.0, sig_obs: float = 0.5,
         dunit_measure=dunit,
         runit_measure=runit,
     )
-
-
-def kalman_loglik(obs: np.ndarray, a: float, sig_proc: float, sig_obs: float,
-                  x0_mean: float = 0.0, x0_sd: float = 1.0) -> float:
-    """Exact scalar Kalman-filter log-likelihood (test oracle)."""
-    mean, var = x0_mean, x0_sd**2
-    q, r = sig_proc**2, sig_obs**2
-    loglik = 0.0
-    for y in np.asarray(obs, dtype=float):
-        pm = a * mean
-        pv = a * a * var + q
-        s = pv + r
-        loglik += -0.5 * (np.log(2.0 * np.pi * s) + (y - pm) ** 2 / s)
-        k = pv / s
-        mean = pm + k * (y - pm)
-        var = (1.0 - k) * pv
-    return float(loglik)
 
 
 # ---------------------------------------------------------------------------

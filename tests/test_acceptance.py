@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 from conftest import mc_se_mean, se_proportion
+from oracles import hmm_forward_loglik, kalman_loglik, person_counts, person_total
 
 from epipomp.benchmark import aic, ar_nb_loglik, fit_benchmark
 from epipomp.cli import main
@@ -19,18 +20,16 @@ from epipomp.forecast import elimination_probability, forecast_from_filter, long
 from epipomp.grid import TimeGrid
 from epipomp.haiti.geography import synthetic_geography
 from epipomp.haiti.model1 import seasonal_beta
-from epipomp.haiti.model2 import build_model2, person_total
-from epipomp.haiti.model3 import build_model3, person_counts
-from epipomp.iterfilter import IbpfSettings, If2Settings, ibpf, if2
+from epipomp.haiti.model2 import build_model2
+from epipomp.haiti.model3 import build_model3
+from epipomp.iterfilter import If2Settings, ibpf, if2
 from epipomp.io import load_cases, load_rainfall
 from epipomp.euler import euler_multinomial, gamma_increment
 from epipomp.mcap import mcap_ci
 from epipomp.model import simulate
 from epipomp.series import CovariateTable, ObservationSeries, standardize_rainfall
 from epipomp.toys import (
-    hmm_forward_loglik,
     hmm_model,
-    kalman_loglik,
     lgssm_model,
     metapop_model,
     sir_model,
@@ -154,10 +153,11 @@ def test_criterion_05_ode_stochastic_agreement():
     )
     m_det = sir_model(pop=pop, stochastic=False)
     g_det = toy_grid(40, euler_step=1.0 / 56)
-    I_det = simulate(m_det, params, g_det, n_sims=1, seed=0).state_series("I")[0]
+    i_col = m_det.state_names.index("I")
+    I_det = simulate(m_det, params, g_det, n_sims=1, seed=0).states[0, :, i_col]
     g = toy_grid(40, euler_step=1.0 / 336)
     res = simulate(m_stoch, params, g, n_sims=100, seed=2)
-    I_mean = res.state_series("I").mean(axis=0)
+    I_mean = res.states[:, :, res.state_names.index("I")].mean(axis=0)
     err = float(np.max(np.abs(I_mean - I_det)) / np.max(I_det))
     elapsed = time.monotonic() - started
     record(
@@ -182,13 +182,13 @@ def test_criterion_06_conservation():
     res = simulate(m3, m3.params, grid, covs, n_sims=1, seed=606)
     pops = np.round(geo.populations)
     exact = all(
-        np.array_equal(person_counts(m3, res.states[:, n, :], 10)[0], pops)
+        np.array_equal(person_counts(res.states[:, n, :], 10)[0], pops)
         for n in range(res.states.shape[1])
     )
     m2 = build_model2(np.nan_to_num(cases.values[:, 0]), geo)
     grid2 = TimeGrid(0.0, np.arange(1, 105) * WEEK, euler_step=WEEK / 7)
     res2 = simulate(m2, m2.params, grid2, n_sims=1, seed=0)
-    pt = person_total(m2, res2.states[0], geo)
+    pt = person_total(res2.states[0], geo)
     rel = float(np.max(np.abs(pt - pt[0])) / pt[0])
     elapsed = time.monotonic() - started
     record(
@@ -235,7 +235,7 @@ def test_criterion_08_ibpf():
     data = simulate(m, m.params, g, n_sims=1, seed=31).observation_series(0)
     kwargs = dict(J=100, M=5, rw_sd={"beta": 0.05}, cooling=0.6)
     a = if2(m, data, g, None, If2Settings(**kwargs), seed=23)
-    b = ibpf(m, data, g, None, IbpfSettings(blocks=[["unit"]], **kwargs), seed=23)
+    b = ibpf(m, data, g, None, If2Settings(**kwargs), seed=23, blocks=[["unit"]])
     identical = (
         [r.eval_loglik for r in a.trace] == [r.eval_loglik for r in b.trace]
         and [r.pass_loglik for r in a.trace] == [r.pass_loglik for r in b.trace]
@@ -277,8 +277,8 @@ def test_criterion_08_ibpf():
     )
     res3 = ibpf(
         m3, data3, g3, None,
-        IbpfSettings(J=500, M=30, rw_sd={"beta": 0.03}, cooling=0.5, initial=start, blocks=blocks),
-        seed=5,
+        If2Settings(J=500, M=30, rw_sd={"beta": 0.03}, cooling=0.5, initial=start),
+        seed=5, blocks=blocks,
     )
     gain = res3.best_loglik - start_ll
     elapsed = time.monotonic() - started

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import save_cases
 
 from epipomp import io
 from epipomp.cli import DEFAULTS, build_bundle, bundled_path, deep_merge, main, parse_set
@@ -177,7 +178,7 @@ class TestToyForecastWithCandidates:
         dates = [(dt.date(2021, 1, 2) + dt.timedelta(weeks=k)).isoformat() for k in range(15)]
         s = ObservationSeries(("unit",), res.observations[0].T, tuple(dates))
         cases = tmp_path / "cases.csv"
-        io.save_cases(s, cases)
+        save_cases(s, cases)
         cand = tmp_path / "candidates.csv"
         cand.write_text("loglik,beta,gamma\n-100.0,1.8,1.0\n-101.5,2.2,0.9\n")
         out = tmp_path / "fc"
@@ -202,7 +203,7 @@ class TestForecastRefusals:
         obs = simulate(m, m.params, toy_grid(20), n_sims=1, seed=3).observations[0]
         dates = [(dt.date(2021, 1, 2) + dt.timedelta(weeks=k)).isoformat() for k in range(20)]
         cases = tmp_path / "cases.csv"
-        io.save_cases(ObservationSeries(m.units, obs.T, tuple(dates)), cases)
+        save_cases(ObservationSeries(m.units, obs.T, tuple(dates)), cases)
         out = tmp_path / "fc"
         argv = ["forecast", "--seed", "5", "--out", str(out), "--set", f"model={model}",
                 "--set", f"data.cases={cases}", "--set", "forecast.J=50",
@@ -283,7 +284,7 @@ class TestParallelProfile:
         dates = [(dt.date(2020, 1, 4) + dt.timedelta(weeks=k)).isoformat() for k in range(20)]
         s = ObservationSeries(("unit",), res.observations[0].T, tuple(dates))
         cases = tmp_path / "cases.csv"
-        io.save_cases(s, cases)
+        save_cases(s, cases)
 
         outputs = []
         for workers, name in ((1, "serial"), (2, "parallel")):

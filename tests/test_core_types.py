@@ -119,20 +119,20 @@ class TestObservationSeries:
 
 class TestStandardizeRainfall:
     def test_direct_division(self):
-        out = standardize_rainfall(np.array([[2.0, 4.0, 8.0]]))
+        out = standardize_rainfall(np.array([[2.0, 4.0, 8.0]]), ["a"])
         np.testing.assert_allclose(out, [[0.25, 0.5, 1.0]])
 
     def test_per_unit_maxima(self):
-        out = standardize_rainfall(np.array([[1.0, 2.0], [10.0, 20.0]]))
+        out = standardize_rainfall(np.array([[1.0, 2.0], [10.0, 20.0]]), ["a", "b"])
         np.testing.assert_allclose(out, [[0.5, 1.0], [0.5, 1.0]])
 
     def test_constant_series(self):
-        out = standardize_rainfall(np.array([[5.0, 5.0, 5.0]]))
+        out = standardize_rainfall(np.array([[5.0, 5.0, 5.0]]), ["a"])
         np.testing.assert_allclose(out, [[1.0, 1.0, 1.0]])
 
     def test_all_zero_unit_named_in_error(self):
         with pytest.raises(ValidationError, match="Sud"):
-            standardize_rainfall({"Nord": [1.0, 2.0], "Sud": [0.0, 0.0]})
+            standardize_rainfall(np.array([[1.0, 2.0], [0.0, 0.0]]), ["Nord", "Sud"])
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=2, max_size=30).filter(
@@ -141,7 +141,7 @@ class TestStandardizeRainfall:
     )
     @settings(max_examples=50, deadline=None)
     def test_max_is_exactly_one(self, xs):
-        out = standardize_rainfall(np.array([xs]))
+        out = standardize_rainfall(np.array([xs]), ["a"])
         assert out.max() == 1.0
         assert out.min() >= 0.0
 

@@ -10,6 +10,7 @@ import pytest
 from conftest import mc_se_mean, se_proportion
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import hmm_forward_loglik, kalman_loglik
 
 from epipomp import filtering, iterfilter
 from epipomp.errors import ValidationError
@@ -25,14 +26,12 @@ from epipomp.haiti.geography import synthetic_geography
 from epipomp.haiti.model2 import build_model2
 from epipomp.haiti.model3 import build_model3
 from epipomp.haiti.scenarios import apply_vaccination_scenario, builtin_scenario
-from epipomp.iterfilter import IbpfSettings, ibpf
+from epipomp.iterfilter import If2Settings, ibpf
 from epipomp.model import simulate
 from epipomp.params import ParamDef, ParameterSet
 from epipomp.series import ObservationSeries
 from epipomp.toys import (
-    hmm_forward_loglik,
     hmm_model,
-    kalman_loglik,
     lgssm_model,
     metapop_model,
     pure_death_model,
@@ -244,7 +243,7 @@ class TestUnitStateNames:
         with pytest.raises(ValidationError, match=r"state 'S_a'"):
             particle_filter(bare, bare.params, data, g, J=20, seed=1, blocks=[["a"], ["b"]])
         with pytest.raises(ValidationError, match=r"state 'S_a'"):
-            ibpf(bare, data, g, None, IbpfSettings(J=20, M=1, rw_sd={"beta": 0.02}), seed=1)
+            ibpf(bare, data, g, None, If2Settings(J=20, M=1, rw_sd={"beta": 0.02}), seed=1)
 
     def test_unsuffixed_states_one_block_bit_identical(self, metapop):
         m, g, data = metapop
@@ -307,7 +306,7 @@ class TestRandomMissingPatterns:
             mp.setattr(filtering, "systematic_indices", resample)
             mp.setattr(iterfilter, "_filter_pass", ibpf_pass)
             pf = particle_filter(m, m.params, data, g, J=J, seed=seed, blocks=blocks)
-            ibpf(m, data, g, None, IbpfSettings(J=J, M=1, rw_sd={"beta": 0.02}, blocks=blocks), seed=seed)
+            ibpf(m, data, g, None, If2Settings(J=J, M=1, rw_sd={"beta": 0.02}), seed=seed, blocks=blocks)
         # three block filters drew: the filter, the IBPF pass and its evaluation
         per_week = np.bincount(draws, minlength=_N_WEEKS)
         for res in (pf, passes[0]):

@@ -83,7 +83,7 @@ class TestForecastFromFilter:
         res = simulate(m, params, toy_grid(60, euler_step=0.5), n_sims=6, seed=1)
         for s in range(1, 6):
             np.testing.assert_array_equal(res.states[s], res.states[0])
-        infected = res.states[0, 1:, m.state_index("I")]
+        infected = res.states[0, 1:, m.state_names.index("I")]
         assert infected[0] < 50.0 and np.all(np.diff(infected) < 0)
 
     def test_zero_transmission_always_eliminates(self):
@@ -136,7 +136,8 @@ class TestForecastFromFilter:
         res = forecast_from_filter(
             m, m.params, start, None, 0.0, 60, 8, seed=21, euler_step=1.0, week_duration=1.0
         )
-        np.testing.assert_array_equal(res.true_infections[:, :, 0], sim.state_series("C_inc")[:, 1:])
+        c_col = m.state_names.index("C_inc")
+        np.testing.assert_array_equal(res.true_infections[:, :, 0], sim.states[:, 1:, c_col])
         np.testing.assert_array_equal(res.reported, sim.observations)
 
     def test_empty_filter_sample_fails(self):
@@ -203,7 +204,7 @@ class TestTrajectoryProjection:
         geo = synthetic_geography()
         init = np.array([100, 20, 0, 0, 30, 5, 15, 200, 10, 8], float)
         sched = apply_vaccination_scenario(
-            builtin_scenario("V4", geo, two_dose_coverage=0.8), "model2", geo, origin=0.0
+            builtin_scenario("V4", geo), "model2", geo, origin=0.0
         )
         m_v4 = build_model2(init, geo, schedule=sched)
         m_v0 = build_model2(init, geo)
@@ -214,7 +215,7 @@ class TestTrajectoryProjection:
         horizon = 104
         proj_v4 = trajectory_projection(m_v4, m_v4.params, None, 0.0, horizon)
         proj_v0 = trajectory_projection(m_v0, m_v0.params, None, 0.0, horizon)
-        ti_cols = [m_v0.state_index(c) for c in m_v0.true_infection_states]
+        ti_cols = [m_v0.state_names.index(c) for c in m_v0.true_infection_states]
         cum_v4 = proj_v4.latent[:, ti_cols].sum()
         cum_v0 = proj_v0.latent[:, ti_cols].sum()
         assert cum_v4 <= cum_v0

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracles import save_cases
 
 from epipomp import io
 from epipomp.cli import main, parse_set, resolve_config
@@ -84,7 +85,7 @@ class TestLoadCases:
         vals = np.array([[1.0, np.nan, 3.0], [0.0, 5.0, 2.0]])
         s = ObservationSeries(("A", "B"), vals, ("2015-01-03", "2015-01-10", "2015-01-17"))
         p = tmp_path / "rt.csv"
-        io.save_cases(s, p)
+        save_cases(s, p)
         back = io.load_cases(p)
         assert back.units == s.units
         np.testing.assert_array_equal(
@@ -139,7 +140,7 @@ def toy_cases(tmp_path):
     dates = [(dt.date(2020, 1, 4) + dt.timedelta(weeks=k)).isoformat() for k in range(25)]
     s = ObservationSeries(("unit",), res.observations[0].T, tuple(dates))
     p = tmp_path / "toy_cases.csv"
-    io.save_cases(s, p)
+    save_cases(s, p)
     return p
 
 
@@ -177,7 +178,7 @@ class TestCliPipeline:
         )
         assert code == 0
         summary = json.loads((tmp_path / "f" / "summary.json").read_text())
-        m = sir_model(stochastic=False, name="toy:sir-det")
+        m = sir_model(stochastic=False)
         data = load_cases(toy_cases)
         direct = deterministic_loglik(m, m.params, data, toy_grid(25), None)
         assert summary["loglik"] == pytest.approx(direct, abs=1e-9)

@@ -10,7 +10,6 @@ from epipomp import filtering
 from epipomp.errors import ValidationError
 from epipomp.filtering import particle_filter
 from epipomp.iterfilter import (
-    IbpfSettings,
     If2Settings,
     _expand_search,
     _natural_theta,
@@ -143,7 +142,7 @@ class TestIbpf:
         m, g, data = sir_data
         kwargs = dict(J=60, M=4, rw_sd={"beta": 0.05}, cooling=0.6)
         a = if2(m, data, g, None, If2Settings(**kwargs), seed=23)
-        b = ibpf(m, data, g, None, IbpfSettings(blocks=[["unit"]], **kwargs), seed=23)
+        b = ibpf(m, data, g, None, If2Settings(**kwargs), seed=23, blocks=[["unit"]])
         assert [r.eval_loglik for r in a.trace] == [r.eval_loglik for r in b.trace]
         assert [r.pass_loglik for r in a.trace] == [r.pass_loglik for r in b.trace]
         assert np.array_equal(a.swarm, b.swarm)
@@ -158,13 +157,13 @@ class TestIbpf:
         with pytest.raises(ValidationError, match=message):
             if2(m, data, g, None, If2Settings(J=10, M=1, rw_sd={"gamma": 0.05}), seed=0)
         with pytest.raises(ValidationError, match=message):
-            ibpf(m, data, g, None, IbpfSettings(J=10, M=1, rw_sd={"gamma": 0.05}), seed=0)
+            ibpf(m, data, g, None, If2Settings(J=10, M=1, rw_sd={"gamma": 0.05}), seed=0)
 
     def test_block_partition_validated(self, sir_data):
         m, g, data = sir_data
-        st = IbpfSettings(J=10, M=1, rw_sd={"beta": 0.05}, blocks=[["unit"], ["ghost"]])
+        st = If2Settings(J=10, M=1, rw_sd={"beta": 0.05})
         with pytest.raises(ValidationError):
-            ibpf(m, data, g, None, st, seed=0)
+            ibpf(m, data, g, None, st, seed=0, blocks=[["unit"], ["ghost"]])
 
     def test_independent_units_factorize(self):
         # block filter loglik ~ sum of per-unit particle filter logliks
@@ -201,9 +200,10 @@ class TestBlockDefaults:
         g = toy_grid(15)
         data = simulate(m, m.params, g, n_sims=1, seed=9).observation_series(0)
         kwargs = dict(J=40, M=2, rw_sd={"gamma": 0.05}, cooling=0.7)
-        per_unit = ibpf(m, data, g, None, IbpfSettings(**kwargs), seed=3)
-        explicit = ibpf(m, data, g, None, IbpfSettings(blocks=[["a"], ["b"]], **kwargs), seed=3)
-        one_block = ibpf(m, data, g, None, IbpfSettings(blocks=[["a", "b"]], **kwargs), seed=3)
+        st = If2Settings(**kwargs)
+        per_unit = ibpf(m, data, g, None, st, seed=3)
+        explicit = ibpf(m, data, g, None, st, seed=3, blocks=[["a"], ["b"]])
+        one_block = ibpf(m, data, g, None, st, seed=3, blocks=[["a", "b"]])
         assert [r.eval_loglik for r in per_unit.trace] == [r.eval_loglik for r in explicit.trace]
         assert [r.eval_loglik for r in per_unit.trace] != [r.eval_loglik for r in one_block.trace]
 
@@ -224,11 +224,8 @@ class TestSharedReconciliation:
         m = metapop_model(units=("a", "b", "c"), coupling=0.05)
         g = toy_grid(12)
         data = simulate(m, m.params, g, n_sims=1, seed=51).observation_series(0)
-        st = IbpfSettings(
-            J=50, M=2, rw_sd={"gamma": 0.05, "beta": 0.05}, cooling=0.7,
-            blocks=[["a"], ["b"], ["c"]],
-        )
-        res = ibpf(m, data, g, None, st, seed=6)
+        st = If2Settings(J=50, M=2, rw_sd={"gamma": 0.05, "beta": 0.05}, cooling=0.7)
+        res = ibpf(m, data, g, None, st, seed=6, blocks=[["a"], ["b"], ["c"]])
         assert res.trace[-1].center["gamma"] > 0
         assert not res.aborted
 

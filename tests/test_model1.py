@@ -86,7 +86,7 @@ class TestRatesAndUnits:
         # f_0 = 0: with no vaccination the A compartment stays empty
         m = build_model1(trend_window=(0.0, 2.0))
         res = simulate(m, m.params, weekly_grid(30), n_sims=2, seed=3)
-        assert np.all(res.state_series("A0") == 0.0)
+        assert np.all(res.states[:, :, res.state_names.index("A0")] == 0.0)
 
     def test_no_campaign_no_intercohort_flows(self):
         from epipomp.haiti.scenarios import empty_schedule
@@ -126,7 +126,7 @@ class TestMeasurement:
         m = build_model1(trend_window=(0.0, 2.0))
         theta = compile_theta(m, m.params)
         X = np.zeros((1, len(m.state_names)))
-        X[0, m.state_index("CI")] = 100.0
+        X[0, m.state_names.index("CI")] = 100.0
         rng = make_rng(0)
         draws = np.array([m.runit_measure(X, 0.0, theta, rng)[0, 0] for _ in range(20000)])
         assert m.params["rho"] == 0.679
@@ -136,7 +136,7 @@ class TestMeasurement:
         m = build_model1(trend_window=(0.0, 2.0))
         theta = compile_theta(m, m.params)
         X = np.zeros((1, len(m.state_names)))
-        X[0, m.state_index("CI")] = 8.0
+        X[0, m.state_names.index("CI")] = 8.0
         rng = make_rng(1)
         n = 100_000
         Xn = np.tile(X, (n, 1))
@@ -151,7 +151,7 @@ class TestMeasurement:
         m = build_model1(trend_window=(0.0, 2.0), phase_break=1.0)
         theta = compile_theta(m, m.params)
         X = np.zeros((1, len(m.state_names)))
-        X[0, m.state_index("CI")] = 100.0
+        X[0, m.state_names.index("CI")] = 100.0
         ll_epi = float(m.dunit_measure(np.array([40.0]), X, 0.5, theta)[0, 0])
         ll_end = float(m.dunit_measure(np.array([40.0]), X, 1.5, theta)[0, 0])
         assert ll_epi != ll_end
@@ -164,16 +164,16 @@ class TestInitialization:
         theta = compile_theta(m, params)
         X = m.rinit(theta, 1, make_rng(0))
         pop = m.params["pop"]
-        assert X[0, m.state_index("S0")] == pytest.approx(round(pop))
-        assert X[0, m.state_index("I0")] == 0.0
+        assert X[0, m.state_names.index("S0")] == pytest.approx(round(pop))
+        assert X[0, m.state_names.index("I0")] == 0.0
 
     def test_published_counts_accepted_as_persons(self):
         m = build_model1(trend_window=(0.0, 2.0))
         theta = compile_theta(m, m.params)
         X = m.rinit(theta, 1, make_rng(0))
-        assert X[0, m.state_index("I0")] == 7298.0
-        assert X[0, m.state_index("E0")] == 350.0
-        assert X[0, m.state_index("R0")] == 0.0
+        assert X[0, m.state_names.index("I0")] == 7298.0
+        assert X[0, m.state_names.index("E0")] == 350.0
+        assert X[0, m.state_names.index("R0")] == 0.0
 
     def test_fractions_summing_to_one_rejected(self):
         m = build_model1(trend_window=(0.0, 2.0))

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import mc_se_mean
+from oracles import person_counts
 
 from epipomp.errors import ValidationError
 from epipomp.filtering import particle_filter
@@ -16,7 +17,6 @@ from epipomp.haiti.model3 import (
     build_model3,
     default_params,
     model3_force_of_infection,
-    person_counts,
 )
 from epipomp.haiti.scenarios import apply_vaccination_scenario, builtin_scenario
 from epipomp.measures import nb_logpmf
@@ -150,7 +150,7 @@ class TestMeasurement:
         m = build_model3(INIT_OBS, geo)
         theta = compile_theta(m, m.params)
         X = np.zeros((1, len(m.state_names)))
-        X[0, m.state_index("CI[Artibonite]")] = 50.0
+        X[0, m.state_names.index("CI[Artibonite]")] = 50.0
         n = 100_000
         draws = m.runit_measure(np.tile(X, (n, 1)), 0.0, theta, make_rng(2))[:, 0]
         assert abs(draws.mean() - 0.98 * 50.0) < 3 * mc_se_mean(draws)
@@ -167,29 +167,29 @@ class TestInitialization:
         p = m.params
         mu_ir_day = p["mu_ir"] / DAYS_PER_YEAR
         expected = 7.0 / (7.0 * p["rho"] * (mu_ir_day + (p["delta"] + p["delta_c"]) / 365.0))
-        assert X[0, m.state_index("I[Nord]")] == np.round(expected)
+        assert X[0, m.state_names.index("I[Nord]")] == np.round(expected)
 
     def test_zero_week_with_zero_parameter_gives_empty_unit(self, geo):
         m = build_model3(INIT_OBS, geo)
         params = m.params.replace({"i0[Grand'Anse]": 1e-9})
         theta = compile_theta(m, params)
         X = m.rinit(theta, 1, make_rng(0))
-        assert X[0, m.state_index("I[Grand'Anse]")] == 0.0
-        assert X[0, m.state_index("A[Grand'Anse]")] == 0.0
-        assert X[0, m.state_index("W[Grand'Anse]")] == 0.0
+        assert X[0, m.state_names.index("I[Grand'Anse]")] == 0.0
+        assert X[0, m.state_names.index("A[Grand'Anse]")] == 0.0
+        assert X[0, m.state_names.index("W[Grand'Anse]")] == 0.0
 
     def test_zero_week_units_use_estimated_parameters(self, geo):
         m = build_model3(INIT_OBS, geo)
         theta = compile_theta(m, m.params)
         X = m.rinit(theta, 1, make_rng(0))
-        assert X[0, m.state_index("I[Grand'Anse]")] == 21.0
-        assert X[0, m.state_index("I[Nippes]")] == 6.0
+        assert X[0, m.state_names.index("I[Grand'Anse]")] == 21.0
+        assert X[0, m.state_names.index("I[Nippes]")] == 6.0
 
     def test_person_total_equals_population_exactly(self, geo):
         m = build_model3(INIT_OBS, geo)
         theta = compile_theta(m, m.params)
         X = m.rinit(theta, 3, make_rng(0))
-        counts = person_counts(m, X, geo.n_units)
+        counts = person_counts(X, geo.n_units)
         np.testing.assert_array_equal(counts, np.tile(np.round(geo.populations), (3, 1)))
 
     def test_negative_recovered_clamped_with_warning(self, geo):
@@ -202,8 +202,8 @@ class TestInitialization:
         assert str(record[0].message).endswith(
             "in Artibonite, Centre, Nord, Nord-Est, Nord-Ouest, Ouest, Sud, Sud-Est"
         )
-        assert X[0, m.state_index("R1[Nord]")] == 0.0
-        counts = person_counts(m, X, geo.n_units)
+        assert X[0, m.state_names.index("R1[Nord]")] == 0.0
+        counts = person_counts(X, geo.n_units)
         np.testing.assert_array_equal(counts, np.tile(np.round(geo.populations), (2, 1)))
 
     def test_units_started_from_i0_clamp_without_warning(self, geo):
@@ -213,8 +213,8 @@ class TestInitialization:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             X = m.rinit(compile_theta(m, m.params), 1, make_rng(0))
-        assert X[0, m.state_index("I[Grand'Anse]")] == 21.0
-        assert X[0, m.state_index("R1[Grand'Anse]")] == 0.0
+        assert X[0, m.state_names.index("I[Grand'Anse]")] == 21.0
+        assert X[0, m.state_names.index("R1[Grand'Anse]")] == 0.0
 
 
 class TestStochasticity:
@@ -235,7 +235,7 @@ class TestConservation:
         grid = TimeGrid(t0, t0 + np.arange(1, 41) * WEEK, euler_step=WEEK / 7)
         res = simulate(m, m.params, grid, covs, n_sims=2, seed=12)
         for n in range(res.states.shape[1]):
-            counts = person_counts(m, res.states[:, n, :], geo.n_units)
+            counts = person_counts(res.states[:, n, :], geo.n_units)
             np.testing.assert_array_equal(counts, np.tile(np.round(geo.populations), (2, 1)))
 
     def test_person_totals_constant_over_v4_forecast(self, geo):
@@ -251,7 +251,7 @@ class TestConservation:
         res = simulate(m, m.params, grid, covs, n_sims=4, seed=3)
         pops = np.tile(np.round(geo.populations), (4, 1))
         for h in range(105):
-            np.testing.assert_array_equal(person_counts(m, res.states[:, h, :], geo.n_units), pops)
+            np.testing.assert_array_equal(person_counts(res.states[:, h, :], geo.n_units), pops)
         V = len(m.state_names) // geo.n_units
         vaccinated = res.states[:, -1, :].reshape(4, geo.n_units, V)[:, :, 1 : sched.n_cohorts + 1]
         assert vaccinated.sum() > 0

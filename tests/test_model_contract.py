@@ -45,7 +45,7 @@ def _build(name):
     geo = synthetic_geography()
     toys = {
         "toy:sir": lambda: sir_model(),
-        "toy:sir-det": lambda: sir_model(stochastic=False, name="toy:sir-det"),
+        "toy:sir-det": lambda: sir_model(stochastic=False),
         "toy:metapop": lambda: metapop_model(),
         "toy:puredeath": lambda: pure_death_model(),
         "toy:puredeath-det": lambda: pure_death_model(stochastic=False),

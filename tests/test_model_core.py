@@ -49,14 +49,14 @@ class TestSimulate:
         params = m.params.replace({"mu": 1.0, "i0": 1e6})
         grid = TimeGrid(0.0, np.arange(1.0, 53.0), euler_step=0.005)
         res = simulate(m, params, grid, n_sims=1, seed=0)
-        final = res.state_series("I")[0, -1]
+        final = res.states[:, :, res.state_names.index("I")][0, -1]
         expected = 1e6 * np.exp(-52.0)
         assert abs(final - expected) / expected < 1e-6
 
     def test_accumulators_reset_each_week(self):
         m = sir_model()
         res = simulate(m, m.params, toy_grid(10), n_sims=1, seed=2)
-        weekly = res.state_series("C_inc")[0, 1:]
+        weekly = res.states[:, :, res.state_names.index("C_inc")][0, 1:]
         # cumulative infections bounded by population; weekly resets keep each
         # entry at most the whole population but their sum can exceed it only
         # through waning; at least assert accumulators are not monotone sums

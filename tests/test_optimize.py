@@ -89,7 +89,7 @@ class TestSkeletonChecks:
 
     @pytest.fixture(scope="class")
     def sir_det(self):
-        m = sir_model(stochastic=False, name="toy:sir-det")
+        m = sir_model(stochastic=False)
         data = simulate(m, m.params, toy_grid(10), n_sims=1, seed=0).observation_series(0)
         return m, data
 

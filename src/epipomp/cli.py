@@ -145,6 +145,41 @@ def parse_set(items: list[str]) -> dict:
     return out
 
 
+# the values a setting takes, by the type of its default
+_TAKES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str, type(None)), "a string or null"),
+}
+
+
+def check_config(cfg: dict, defaults: dict = DEFAULTS, prefix: str = "") -> None:
+    """Refuse a key that ``DEFAULTS`` lacks and a value of the wrong type.
+
+    A table with defaults takes only its own keys; the empty tables
+    (``params``, ``fit.rw_sd``) are free-form. A setting whose default is an
+    int takes an int, a float any number, a bool a bool, and a str a str or
+    null. Settings whose default is null, a list or an empty table are
+    checked where they are used.
+    """
+    for key, value in cfg.items():
+        name = prefix + key
+        if key not in defaults:
+            raise ConfigError(
+                f"unknown config key {name!r}; {prefix[:-1] or 'the top level'} takes {sorted(defaults)}"
+            )
+        default = defaults[key]
+        if isinstance(default, dict) and default:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name} must be a table of settings, got {value!r}")
+            check_config(value, default, name + ".")
+        elif type(default) in _TAKES:
+            types, what = _TAKES[type(default)]
+            if not isinstance(value, types) or (isinstance(value, bool) and type(default) is not bool):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     if args.config:
@@ -156,6 +191,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file {args.config!r} is not valid JSON: {exc}") from None
         cfg = deep_merge(cfg, file_cfg)
     cfg = deep_merge(cfg, parse_set(args.set or []))
+    check_config(cfg)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.workers is not None:
@@ -217,10 +253,13 @@ def _rain_covariates(cfg: dict, inputs: dict, start_date: dt.date, geo) -> Covar
 
 
 def _subset_weeks(cfg: dict, data: ObservationSeries, grid: TimeGrid):
-    weeks = cfg["data"].get("weeks")
-    if not weeks:
+    """The weeks [a, b) of the data and its grid that ``data.weeks`` selects."""
+    weeks = cfg["data"]["weeks"]
+    if weeks is None:
         return data, grid
-    a, b = int(weeks[0]), int(weeks[1])
+    if not (isinstance(weeks, list) and len(weeks) == 2 and all(type(w) is int for w in weeks)):
+        raise ConfigError(f"data.weeks must be a list of two integers [start, stop], got {weeks!r}")
+    a, b = weeks
     if not 0 <= a < b <= data.n_obs:
         raise ConfigError(f"weeks subset {weeks} out of range [0, {data.n_obs}]")
     sub_grid = TimeGrid(
@@ -307,6 +346,8 @@ def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | Non
 
 def _build_toy_bundle(cfg: dict, model_id: str, inputs: dict, need_data: bool) -> Bundle:
     steps = int(cfg["grid"]["toy_steps_per_week"])
+    if steps < 1:
+        raise ConfigError(f"grid.toy_steps_per_week must be >= 1, got {steps}")
     builders = {
         "toy:sir": lambda: sir_model(),
         "toy:sir-det": lambda: sir_model(stochastic=False),
@@ -329,9 +370,13 @@ def _build_toy_bundle(cfg: dict, model_id: str, inputs: dict, need_data: bool) -
         n_obs = data.n_obs
     elif need_data:
         raise ConfigError(f"command needs a cases file for {model_id}")
+    elif cfg["data"]["weeks"] is not None:
+        raise ConfigError(f"data.weeks selects weeks of a cases file, and {model_id} has none")
     else:
         n_obs = int(cfg["simulate"]["horizon_weeks"])
     grid = toy_grid(n_obs, euler_step=1.0 / steps)
+    if data is not None:
+        data, grid = _subset_weeks(cfg, data, grid)
     params = _apply_param_overrides(model.params, cfg["params"])
     return Bundle(model_id, model, lambda schedule=None: model, grid, data, None, None, params, None)
 
@@ -342,6 +387,10 @@ def _apply_param_overrides(params: ParameterSet, overrides: dict) -> ParameterSe
     unknown = [k for k in overrides if k not in params]
     if unknown:
         raise ConfigError(f"parameter overrides name unknown parameters {unknown}")
+    bad = [f"params.{k}={v!r}" for k, v in overrides.items()
+           if isinstance(v, bool) or not isinstance(v, (int, float))]
+    if bad:
+        raise ConfigError(f"parameter overrides must be numbers: {', '.join(bad)}")
     return params.replace({k: float(v) for k, v in overrides.items()})
 
 

@@ -144,9 +144,13 @@ def build_model2(
         # vaccine-protection waning rates of cohorts 1..4
         om1, om2 = theta["omega1"], theta["omega2"]
         om = np.stack(np.broadcast_arrays(om1, om2, om1, om2), axis=-1)
-        # v_rate is a fixed constant; per-particle search of it is not supported
-        v_rate = float(np.mean(theta["v_rate"]))
-        T = geo.gravity_matrix(v_rate)
+        # one gravity matrix serves every particle, so v_rate cannot vary across them
+        v_rate = np.asarray(theta["v_rate"])
+        if np.any(v_rate != v_rate.flat[0]):
+            raise ValidationError(
+                "model2 takes one v_rate for every particle; a search cannot perturb v_rate"
+            )
+        T = geo.gravity_matrix(float(v_rate.flat[0]))
         T_out = T.sum(axis=1)
         TW = geo.river_flows
         TW_out = TW.sum(axis=1)

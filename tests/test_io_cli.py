@@ -393,3 +393,94 @@ class TestCliPipeline:
         assert code == 2
         summary = json.loads((tmp_path / "f" / "summary.json").read_text())
         assert "eval_particles" in summary["error"]
+
+
+class TestConfigFaults:
+    """Every config value is checked against DEFAULTS before a command runs."""
+
+    def run(self, tmp_path, toy_cases, *sets) -> int:
+        argv = ["filter", "--seed", "1", "--out", str(tmp_path / "f"),
+                "--set", "model=toy:sir", "--set", f"data.cases={toy_cases}"]
+        for item in sets:
+            argv += ["--set", item]
+        return main(argv)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("filter.j=10", "unknown config key 'filter.j'"),
+            ("fliter.J=10", "unknown config key 'fliter'"),
+            ("filter.J=abc", "filter.J must be an integer, got 'abc'"),
+            ("filter.J=true", "filter.J must be an integer, got True"),
+            ("filter.J=10.5", "filter.J must be an integer, got 10.5"),
+            ("grid.euler_days=fast", "grid.euler_days must be a number"),
+            ("benchmark.per_unit=1", "benchmark.per_unit must be true or false"),
+            ("forecast.scenario=4", "forecast.scenario must be a string or null"),
+            ("filter=10", "filter must be a table of settings"),
+        ],
+    )
+    def test_unknown_key_or_wrong_type_exits_2_naming_it(
+        self, tmp_path, toy_cases, capsys, setting, message
+    ):
+        assert self.run(tmp_path, toy_cases, setting) == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_file_is_checked_too(self, tmp_path, toy_cases, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"filter": {"j": 10}}))
+        assert self.run(tmp_path, toy_cases) == 0
+        code = main(["filter", "--seed", "1", "--config", str(cfg_file), "--out", str(tmp_path / "g"),
+                     "--set", "model=toy:sir", "--set", f"data.cases={toy_cases}"])
+        assert code == 2
+        assert "unknown config key 'filter.j'" in capsys.readouterr().err
+
+    def test_float_setting_takes_an_integer_and_null_turns_a_string_off(self):
+        args = TestConfigPrecedence()._args(set=["grid.euler_days=1", "data.hurricane_date=null"])
+        cfg = resolve_config(args)
+        assert cfg["grid"]["euler_days"] == 1
+        assert cfg["data"]["hurricane_date"] is None
+
+    def test_non_numeric_parameter_override_exits_2_naming_it(self, tmp_path, toy_cases):
+        assert self.run(tmp_path, toy_cases, 'params={"beta": "x"}') == 2
+        summary = json.loads((tmp_path / "f" / "summary.json").read_text())
+        assert "params.beta='x'" in summary["error"]
+
+    def test_toy_steps_per_week_below_one_exits_2(self, tmp_path, toy_cases):
+        assert self.run(tmp_path, toy_cases, "grid.toy_steps_per_week=0") == 2
+        summary = json.loads((tmp_path / "f" / "summary.json").read_text())
+        assert "grid.toy_steps_per_week" in summary["error"]
+
+
+class TestDataWeeks:
+    """``data.weeks`` selects the weeks [start, stop) of every model's data."""
+
+    def test_toy_weeks_filter_the_selected_weeks(self, tmp_path, toy_cases):
+        first10 = tmp_path / "first10.csv"
+        first10.write_text("".join(toy_cases.read_text().splitlines(keepends=True)[:11]))
+        logliks = []
+        for name, cases, weeks in (("sub", toy_cases, ["--set", "data.weeks=[0,10]"]),
+                                   ("short", first10, [])):
+            out = tmp_path / name
+            code = main(["filter", "--seed", "2", "--out", str(out), "--set", "model=toy:sir",
+                         "--set", "filter.J=50", "--set", f"data.cases={cases}", *weeks])
+            assert code == 0
+            logliks.append(json.loads((out / "summary.json").read_text())["loglik"])
+        assert logliks[0] == logliks[1]
+
+    @pytest.mark.parametrize("model", ["toy:sir", "model1"])
+    @pytest.mark.parametrize("weeks", ["[0]", "5", "[0.5,3.7]", "[true,3]", '"0,10"'])
+    def test_weeks_not_two_integers_exit_2(self, tmp_path, toy_cases, model, weeks):
+        out = tmp_path / "f"
+        code = main(["filter", "--seed", "1", "--out", str(out), "--set", f"model={model}",
+                     "--set", "filter.J=5", "--set", f"data.weeks={weeks}",
+                     *(["--set", f"data.cases={toy_cases}"] if model.startswith("toy:") else [])])
+        assert code == 2
+        error = json.loads((out / "summary.json").read_text())["error"]
+        assert "data.weeks must be a list of two integers" in error
+
+    def test_toy_weeks_without_cases_file_exit_2(self, tmp_path):
+        out = tmp_path / "s"
+        code = main(["simulate", "--seed", "1", "--out", str(out), "--set", "model=toy:sir",
+                     "--set", "data.weeks=[0,5]"])
+        assert code == 2
+        assert "data.weeks" in json.loads((out / "summary.json").read_text())["error"]

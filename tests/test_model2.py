@@ -6,6 +6,7 @@ import pytest
 from conftest import mc_se_mean
 from oracles import person_total
 
+from epipomp.errors import ValidationError
 from epipomp.grid import TimeGrid
 from epipomp.haiti.geography import GeographyData, synthetic_geography
 from epipomp.haiti.model2 import (
@@ -67,6 +68,17 @@ class TestGravity:
         # a closed SEIAR+W system conserves its person total exactly
         pt = person_total(res.states[0], geo)
         np.testing.assert_allclose(pt, pt[0], rtol=1e-12)
+
+    def test_v_rate_differing_across_particles_is_refused(self):
+        # one gravity matrix serves the whole swarm: stepping every particle
+        # at one particle's (or the mean) v_rate would hide a search of it
+        geo = synthetic_geography()
+        m = build_model2(np.array([100, 20, 0, 0, 30, 5, 15, 200, 10, 8], float), geo)
+        theta = compile_theta(m, m.params)
+        X = m.rinit(theta, 2, None)
+        theta["v_rate"] = np.array([[1e-12], [3e-12]])
+        with pytest.raises(ValidationError, match="v_rate"):
+            m.step(X, 0.0, WEEK / 7, theta, None, None)
 
 
 class TestSkeletonProperties:

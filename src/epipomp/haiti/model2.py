@@ -242,4 +242,3 @@ def build_model2(
         stochastic=False,
         validate_params=_validate,
     )
-

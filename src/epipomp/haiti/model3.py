@@ -300,4 +300,3 @@ def build_model3(
         needs_covariates=True,
         validate_params=_validate,
     )
-

@@ -147,9 +147,7 @@ def build_model2(
         # one gravity matrix serves every particle, so v_rate cannot vary across them
         v_rate = np.asarray(theta["v_rate"])
         if np.any(v_rate != v_rate.flat[0]):
-            raise ValidationError(
-                "model2 takes one v_rate for every particle; a search cannot perturb v_rate"
-            )
+            raise ValidationError("model2 takes one v_rate for every particle; a search cannot perturb it")
         T = geo.gravity_matrix(float(v_rate.flat[0]))
         T_out = T.sum(axis=1)
         TW = geo.river_flows

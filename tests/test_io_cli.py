@@ -428,7 +428,6 @@ class TestConfigFaults:
     def test_config_file_is_checked_too(self, tmp_path, toy_cases, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"filter": {"j": 10}}))
-        assert self.run(tmp_path, toy_cases) == 0
         code = main(["filter", "--seed", "1", "--config", str(cfg_file), "--out", str(tmp_path / "g"),
                      "--set", "model=toy:sir", "--set", f"data.cases={toy_cases}"])
         assert code == 2

@@ -5,8 +5,8 @@ defined in ``src/epipomp`` must be read somewhere in ``src/``, ``scripts/`` or
 ``perfbench/`` other than at its own definition. A read is a name loaded in
 an expression (for a module-level name), an attribute loaded as ``.name``,
 or the name spelled as a string (``getattr`` and the benchmark tracer reach
-attributes that way). Exports in ``__all__`` and keyword arguments are not reads. Helpers that only
-the tests use belong in ``tests/``.
+attributes that way). Exports in ``__all__`` and keyword arguments are not
+reads. Helpers that only the tests use belong in ``tests/``.
 """
 
 import ast
@@ -28,18 +28,17 @@ def _definitions() -> dict[str, str]:
     """``Owner.name`` (or ``name`` at module level) -> ``file:line``."""
     found = {}
     for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        where = lambda node: f"{path.relative_to(ROOT)}:{node.lineno}"  # noqa: E731
-        for node in tree.body:
+        rel = path.relative_to(ROOT)
+        for node in ast.parse(path.read_text(), str(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                found[node.name] = where(node)
+                found[node.name] = f"{rel}:{node.lineno}"
             if not isinstance(node, ast.ClassDef):
                 continue
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
-                    found[f"{node.name}.{member.name}"] = where(member)
+                    found[f"{node.name}.{member.name}"] = f"{rel}:{member.lineno}"
                 elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
-                    found[f"{node.name}.{member.target.id}"] = where(member)
+                    found[f"{node.name}.{member.target.id}"] = f"{rel}:{member.lineno}"
     return found
 
 

@@ -158,10 +158,10 @@ def check_config(cfg: dict, defaults: dict = DEFAULTS, prefix: str = "") -> None
     """Refuse a key that ``DEFAULTS`` lacks and a value of the wrong type.
 
     A table with defaults takes only its own keys; the empty tables
-    (``params``, ``fit.rw_sd``) are free-form. A setting whose default is an
-    int takes an int, a float any number, a bool a bool, and a str a str or
-    null. Settings whose default is null, a list or an empty table are
-    checked where they are used.
+    (``params``, ``fit.rw_sd``) take a table with any keys. A setting whose
+    default is an int takes an int, a float any number, a bool a bool, and a
+    str a str or null. Settings whose default is null or a list, and the
+    entries of the empty tables, are checked where they are used.
     """
     for key, value in cfg.items():
         name = prefix + key
@@ -170,14 +170,19 @@ def check_config(cfg: dict, defaults: dict = DEFAULTS, prefix: str = "") -> None
                 f"unknown config key {name!r}; {prefix[:-1] or 'the top level'} takes {sorted(defaults)}"
             )
         default = defaults[key]
-        if isinstance(default, dict) and default:
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{name} must be a table of settings, got {value!r}")
-            check_config(value, default, name + ".")
+            if default:
+                check_config(value, default, name + ".")
         elif type(default) in _TAKES:
             types, what = _TAKES[type(default)]
             if not isinstance(value, types) or (isinstance(value, bool) and type(default) is not bool):
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -252,16 +257,25 @@ def _rain_covariates(cfg: dict, inputs: dict, start_date: dt.date, geo) -> Covar
     )
 
 
-def _subset_weeks(cfg: dict, data: ObservationSeries, grid: TimeGrid):
-    """The weeks [a, b) of the data and its grid that ``data.weeks`` selects."""
+def _selected_weeks(cfg: dict, n_obs: int) -> tuple[int, int] | None:
+    """The weeks [a, b) of ``n_obs`` that ``data.weeks`` selects; None for all."""
     weeks = cfg["data"]["weeks"]
     if weeks is None:
-        return data, grid
+        return None
     if not (isinstance(weeks, list) and len(weeks) == 2 and all(type(w) is int for w in weeks)):
         raise ConfigError(f"data.weeks must be a list of two integers [start, stop], got {weeks!r}")
     a, b = weeks
-    if not 0 <= a < b <= data.n_obs:
-        raise ConfigError(f"weeks subset {weeks} out of range [0, {data.n_obs}]")
+    if not 0 <= a < b <= n_obs:
+        raise ConfigError(f"weeks subset {weeks} out of range [0, {n_obs}]")
+    return a, b
+
+
+def _subset_weeks(cfg: dict, data: ObservationSeries, grid: TimeGrid):
+    """The weeks [a, b) of the data and its grid that ``data.weeks`` selects."""
+    weeks = _selected_weeks(cfg, data.n_obs)
+    if weeks is None:
+        return data, grid
+    a, b = weeks
     sub_grid = TimeGrid(
         t0=grid.t0 if a == 0 else float(grid.obs_times[a - 1]),
         obs_times=grid.obs_times[a:b],
@@ -387,8 +401,7 @@ def _apply_param_overrides(params: ParameterSet, overrides: dict) -> ParameterSe
     unknown = [k for k in overrides if k not in params]
     if unknown:
         raise ConfigError(f"parameter overrides name unknown parameters {unknown}")
-    bad = [f"params.{k}={v!r}" for k, v in overrides.items()
-           if isinstance(v, bool) or not isinstance(v, (int, float))]
+    bad = [f"params.{k}={v!r}" for k, v in overrides.items() if not _is_number(v)]
     if bad:
         raise ConfigError(f"parameter overrides must be numbers: {', '.join(bad)}")
     return params.replace({k: float(v) for k, v in overrides.items()})
@@ -431,13 +444,22 @@ def _fmt(v) -> str:
     return str(int(f)) if f == int(f) else f"{f:.6g}"
 
 
+def _blocks(cfg: dict) -> list[list[str]] | None:
+    """The configured block partition; ``resolve_blocks`` checks it against the model."""
+    blocks = cfg["blocks"]
+    if not (blocks is None or (isinstance(blocks, list) and all(
+            isinstance(b, list) and all(isinstance(u, str) for u in b) for b in blocks))):
+        raise ConfigError(f"blocks must be null or a list of lists of unit names, got {blocks!r}")
+    return blocks
+
+
 def cmd_filter(cfg: dict, out: Path, inputs: dict) -> dict:
     bundle = build_bundle(cfg, inputs=inputs)
     seed = _require_seed(cfg)
     J = int(cfg["filter"]["J"])
     res = particle_filter(
         bundle.model, bundle.params, bundle.data, bundle.grid, bundle.covs, J=J, seed=seed,
-        blocks=cfg["blocks"],
+        blocks=_blocks(cfg),
     )
     rows = []
     for n in range(bundle.data.n_obs):
@@ -458,16 +480,22 @@ def cmd_filter(cfg: dict, out: Path, inputs: dict) -> dict:
 
 def _fit_settings(cfg: dict, params: ParameterSet) -> If2Settings:
     fit = cfg["fit"]
+    bad = [f"fit.rw_sd.{k}={v!r}" for k, v in fit["rw_sd"].items() if not _is_number(v)]
+    if bad:
+        raise ConfigError(f"random-walk sds must be numbers: {', '.join(bad)}")
     rw = {k: float(v) for k, v in fit["rw_sd"].items()}
     if not rw:
         raise ConfigError("fit.rw_sd must name at least one searched parameter")
+    eval_particles = fit["eval_particles"]
+    if not (eval_particles is None or type(eval_particles) is int):
+        raise ConfigError(f"fit.eval_particles must be an integer or null, got {eval_particles!r}")
     return If2Settings(
         J=int(fit["J"]),
         M=int(fit["M"]),
         rw_sd=rw,
         cooling=float(fit["cooling"]),
         initial=params,
-        eval_particles=None if fit.get("eval_particles") is None else int(fit["eval_particles"]),
+        eval_particles=eval_particles,
     )
 
 
@@ -513,7 +541,7 @@ def cmd_fit_ibpf(cfg: dict, out: Path, inputs: dict) -> dict:
     seed = _require_seed(cfg)
     settings = _fit_settings(cfg, bundle.params)
     result = ibpf(
-        bundle.model, bundle.data, bundle.grid, bundle.covs, settings, seed=seed, blocks=cfg["blocks"]
+        bundle.model, bundle.data, bundle.grid, bundle.covs, settings, seed=seed, blocks=_blocks(cfg)
     )
     return _write_fit_outputs(out, result, bundle)
 
@@ -541,6 +569,9 @@ def cmd_fit_traj(cfg: dict, out: Path, inputs: dict) -> dict:
 
 def cmd_benchmark(cfg: dict, out: Path, inputs: dict) -> dict:
     data = io.load_cases(_data_path(cfg, "cases", "cases.csv", inputs))
+    weeks = _selected_weeks(cfg, data.n_obs)
+    if weeks is not None:
+        data = data.subset(*weeks)
     fit = fit_benchmark(data, per_unit=bool(cfg["benchmark"]["per_unit"]))
     io.write_table(
         out / "benchmark.csv",
@@ -581,15 +612,26 @@ def _profile_job(cfg: dict, parameter: str, value: float, seed: int) -> tuple[fl
     return loglik, inputs
 
 
+def _profile_values(values) -> list[float]:
+    """``profile.values``: a list of numbers, or ``{"lo", "hi", "n"}`` for n even steps."""
+    if isinstance(values, dict) and sorted(values) == ["hi", "lo", "n"]:
+        lo, hi, n = values["lo"], values["hi"], values["n"]
+        if _is_number(lo) and _is_number(hi) and type(n) is int and n >= 1:
+            return [float(v) for v in np.linspace(float(lo), float(hi), n)]
+    elif isinstance(values, list) and all(_is_number(v) for v in values):
+        return [float(v) for v in values]
+    raise ConfigError(
+        f'profile.values must be a list of numbers or {{"lo": number, "hi": number, "n": integer >= 1}}, '
+        f"got {values!r}"
+    )
+
+
 def cmd_profile(cfg: dict, out: Path, inputs: dict) -> dict:
     pr = cfg["profile"]
     parameter = pr["parameter"]
     if not parameter:
         raise ConfigError("profile.parameter must be set")
-    values = pr["values"]
-    if isinstance(values, dict):
-        values = list(np.linspace(float(values["lo"]), float(values["hi"]), int(values["n"])))
-    values = [float(v) for v in values]
+    values = _profile_values(pr["values"])
     seed = _require_seed(cfg)
     jobs = profile_design(parameter, values, replicates=int(pr["replicates"]), base_seed=seed)
     workers = int(cfg["workers"])
@@ -736,7 +778,7 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
     check_window(window, horizon)  # before the filter, not after every simulation
     pf = particle_filter(
         bundle.model, bundle.params, bundle.data, bundle.grid, bundle.covs,
-        J=int(fc["J"]), seed=seed, blocks=cfg["blocks"],
+        J=int(fc["J"]), seed=seed, blocks=_blocks(cfg),
     )
     sample = _embed_states(bundle.model, model_fc, pf.filter_sample)
     candidates = (

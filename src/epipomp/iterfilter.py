@@ -8,10 +8,11 @@ resampled together with the latent states. IF2 is the one-block special case
 of the block variant and is implemented as such, so a one-block IBPF run is
 bit-identical to IF2 under shared seeds.
 
-Unit-specific parameters are owned by the block containing their unit and
-are resampled only with that block. Shared parameters keep one copy per
-block during a pass; the copies are reconciled to their per-particle mean on
-the estimation scale at the end of every iteration.
+The swarm keeps one copy of every searched column per block, and each unit
+reads a column from its own block's copy, so a unit-specific column is read
+only from its home block (the one holding its unit). The copies of a shared
+column are reconciled to their per-particle mean on the estimation scale at
+the end of every iteration.
 
 After every iteration the swarm center (mean on the estimation scale) is
 evaluated with a fresh-seeded filtering pass (same block structure: a plain
@@ -106,12 +107,9 @@ class _SearchLayout:
     keys: tuple[str, ...]          # explicit parameter keys, in column order
     sds: np.ndarray                # (P,) estimation-scale random-walk sds
     transforms: tuple[str, ...]
-    shared_cols: np.ndarray        # column indices of shared parameters
-    unit_cols: np.ndarray          # column indices of unit-specific parameters
-    col_pos: np.ndarray            # position of each column in est_shared or est_unit
-    col_unit: np.ndarray           # model unit index per column (-1 = shared)
+    home: np.ndarray               # home block per column (-1 = shared)
+    readers: tuple[slice, ...]     # model units that read each column
     unit_block: np.ndarray         # block index per model unit
-    owned: list[np.ndarray]        # per block: positions in est_unit it owns
     bases: tuple[str, ...]         # base name per column
 
 
@@ -136,22 +134,14 @@ def _expand_search(
     split = [split_key(k) for k in keys]
     block_of_unit = {u: b for b, bu in enumerate(blocks) for u in bu}
     unit_block = np.array([block_of_unit[u] for u in model.units])
-    col_unit = np.array([-1 if u is None else model.units.index(u) for _, u in split], dtype=int)
-    shared_cols = np.flatnonzero(col_unit < 0)
-    unit_cols = np.flatnonzero(col_unit >= 0)
-    col_pos = np.empty(len(keys), dtype=int)
-    col_pos[shared_cols] = np.arange(shared_cols.size)
-    col_pos[unit_cols] = np.arange(unit_cols.size)
+    col_unit = [None if u is None else model.units.index(u) for _, u in split]
     return _SearchLayout(
         keys=tuple(keys),
         sds=np.array(sds),
         transforms=tuple(params.transform_of(k) for k in keys),
-        shared_cols=shared_cols,
-        unit_cols=unit_cols,
-        col_pos=col_pos,
-        col_unit=col_unit,
+        home=np.array([-1 if u is None else unit_block[u] for u in col_unit], dtype=int),
+        readers=tuple(slice(None) if u is None else slice(u, u + 1) for u in col_unit),
         unit_block=unit_block,
-        owned=[np.flatnonzero(unit_block[col_unit[unit_cols]] == b) for b in range(len(blocks))],
         bases=tuple(base for base, _ in split),
     )
 
@@ -160,24 +150,18 @@ def _natural_theta(
     model: PompModel,
     fixed_theta: dict,
     layout: _SearchLayout,
-    est_shared: np.ndarray,   # (B, J, P_sh)
-    est_unit: np.ndarray,     # (J, P_us)
+    est: np.ndarray,   # (B, J, P)
 ) -> dict:
     """Assemble the per-particle natural-scale theta mapping for one pass.
 
-    Each searched base becomes a (J, U) array; a shared column takes, at every
-    unit, the copy held by the block owning that unit.
+    Each searched base becomes a (J, U) array; every unit that reads a column
+    takes the copy held by its own block.
     """
-    shape = (est_shared.shape[1], model.n_units)
     theta = dict(fixed_theta)
     for base in dict.fromkeys(layout.bases):
-        theta[base] = np.full(shape, fixed_theta[base])
-    for ci, tr in enumerate(layout.transforms):
-        mat, pos = theta[layout.bases[ci]], layout.col_pos[ci]
-        if layout.col_unit[ci] < 0:
-            mat[:] = _vec_from_est(est_shared[layout.unit_block, :, pos], tr).T
-        else:
-            mat[:, layout.col_unit[ci]] = _vec_from_est(est_unit[:, pos], tr)
+        theta[base] = np.full((est.shape[1], model.n_units), fixed_theta[base])
+    for ci, (units, tr) in enumerate(zip(layout.readers, layout.transforms)):
+        theta[layout.bases[ci]][:, units] = _vec_from_est(est[layout.unit_block[units], :, ci], tr).T
     return theta
 
 
@@ -191,15 +175,12 @@ def _vec_from_est(values: np.ndarray, transform: str) -> np.ndarray:
     raise ValidationError(f"unknown transform {transform!r}")
 
 
-def _center_params(
-    params: ParameterSet, layout: _SearchLayout,
-    est_shared: np.ndarray, est_unit: np.ndarray,
-) -> ParameterSet:
+def _center_params(params: ParameterSet, layout: _SearchLayout, est: np.ndarray) -> ParameterSet:
+    """The swarm mean on the estimation scale (a unit-specific column's over its home block)."""
     updates = {}
-    for ci, key in enumerate(layout.keys):
-        pos = layout.col_pos[ci]
-        est = est_shared[:, :, pos] if layout.col_unit[ci] < 0 else est_unit[:, pos]
-        updates[key] = from_estimation(float(np.mean(est)), layout.transforms[ci])
+    for ci, (key, b) in enumerate(zip(layout.keys, layout.home)):
+        copies = est[:, :, ci] if b < 0 else est[b, :, ci]
+        updates[key] = from_estimation(float(np.mean(copies)), layout.transforms[ci])
     return params.replace(updates)
 
 
@@ -207,32 +188,34 @@ def _center_params(
 class _Swarm:
     """The parameter swarm an IF2/IBPF filtering pass carries.
 
-    Shared columns keep one copy per block, unit-specific columns one copy;
-    the sds are this iteration's random-walk sds of those columns.
+    ``est`` holds one estimation-scale copy of every searched column per
+    block; a unit-specific column is read, and perturbed, only in its home
+    block. ``sd`` holds this iteration's random-walk sds.
     """
 
     model: PompModel
     fixed: dict
     layout: _SearchLayout
-    shared: np.ndarray        # (B, J, P_sh)
-    unit: np.ndarray          # (J, P_us)
-    sd_shared: np.ndarray     # (P_sh,)
-    sd_unit: np.ndarray       # (P_us,)
+    est: np.ndarray           # (B, J, P)
+    sd: np.ndarray            # (P,)
     rng: np.random.Generator
 
     def theta(self) -> dict:
         """Perturb every particle's parameters and return their theta."""
-        # the sums are new arrays, so resampling never writes into the arrays
-        # the swarm started from (a size-0 draw takes nothing from the stream)
-        self.shared = self.shared + self.rng.normal(size=self.shared.shape) * self.sd_shared
-        self.unit = self.unit + self.rng.normal(size=self.unit.shape) * self.sd_unit
-        return _natural_theta(self.model, self.fixed, self.layout, self.shared, self.unit)
+        home = self.layout.home
+        shared, unit = home < 0, np.flatnonzero(home >= 0)
+        B, J, _ = self.est.shape
+        # shared noise for every block, then unit-specific noise for the home
+        # blocks only (a size-0 draw takes nothing from the stream); the copy
+        # keeps resampling from writing into the array the swarm started from
+        self.est = self.est.copy()
+        self.est[:, :, shared] += self.rng.normal(size=(B, J, shared.sum())) * self.sd[shared]
+        self.est[home[unit], :, unit] += (self.rng.normal(size=(J, unit.size)) * self.sd[unit]).T
+        return _natural_theta(self.model, self.fixed, self.layout, self.est)
 
     def resample(self, b: int, idx: np.ndarray) -> None:
-        """Move block ``b``'s shared copy and the unit columns it owns to ``idx``."""
-        self.shared[b] = self.shared[b][idx]
-        owned = self.layout.owned[b]
-        self.unit[:, owned] = self.unit[np.ix_(idx, owned)]
+        """Move block ``b``'s copy of the swarm to ``idx``."""
+        self.est[b] = self.est[b][idx]
 
 
 def ibpf(
@@ -280,9 +263,7 @@ def _iterated_filter(
     init_rng = make_rng(children[0])
 
     # initial swarm on the estimation scale
-    est0 = params.to_est(layout.keys)
-    est_unit = np.tile(est0[layout.unit_cols], (J, 1))
-    est_shared = np.tile(est0[layout.shared_cols], (B, J, 1))
+    est = np.tile(params.to_est(layout.keys), (B, J, 1))
     for name, (lo, hi) in (settings.hypercube or {}).items():
         matches = [i for i, k in enumerate(layout.keys) if k == name or split_key(k)[0] == name]
         if not matches:
@@ -295,11 +276,7 @@ def _iterated_filter(
                 raise ValidationError(f"hypercube for {name!r}: {err}") from None
             if lo > hi:
                 raise ValidationError(f"hypercube for {name!r}: lower bound {lo} exceeds upper bound {hi}")
-            est = np.array([to_estimation(v, tr) for v in init_rng.uniform(lo, hi, size=J)])
-            if layout.col_unit[ci] < 0:
-                est_shared[:, :, layout.col_pos[ci]] = est
-            else:
-                est_unit[:, layout.col_pos[ci]] = est
+            est[:, :, ci] = [to_estimation(v, tr) for v in init_rng.uniform(lo, hi, size=J)]
 
     trace: list[IterationRecord] = []
     best: tuple[float, ParameterSet] | None = None
@@ -308,23 +285,21 @@ def _iterated_filter(
     for m in range(1, M + 1):
         pass_rng = make_rng(children[2 * m - 1])
         sd_m = np.array([cooled_sd(s, settings.cooling, m) for s in layout.sds])
-        swarm = _Swarm(
-            model, fixed, layout, est_shared, est_unit,
-            sd_m[layout.shared_cols], sd_m[layout.unit_cols], pass_rng,
-        )
+        swarm = _Swarm(model, fixed, layout, est, sd_m, pass_rng)
         res = _filter_pass(model, None, data, grid, covs, J, pass_rng, blocks, swarm)
         if res.failed_times:
             # total filtering failure: keep the swarm from before the pass and
             # stop after tracing
             aborted = True
         else:
-            est_shared, est_unit = swarm.shared, swarm.unit
+            est = swarm.est
 
         # reconcile shared parameters across blocks (mean on estimation scale)
-        if est_shared.size and B > 1:
-            est_shared[:] = est_shared.mean(axis=0, keepdims=True)
+        shared = layout.home < 0
+        if B > 1:
+            est[:, :, shared] = est[:, :, shared].mean(axis=0, keepdims=True)
 
-        center = _center_params(params, layout, est_shared, est_unit)
+        center = _center_params(params, layout, est)
         eval_res = particle_filter(
             model, center, data, grid, covs, J=settings.eval_particles or J,
             seed=children[2 * m], blocks=blocks,
@@ -338,11 +313,10 @@ def _iterated_filter(
     if best is None:
         best = (trace[-1].eval_loglik, trace[-1].center)
 
+    # the copies of a shared column agree after reconciliation: take block 0's
     natural = np.empty((J, len(layout.keys)))
-    for ci, tr in enumerate(layout.transforms):
-        pos = layout.col_pos[ci]
-        vals = est_shared[0, :, pos] if layout.col_unit[ci] < 0 else est_unit[:, pos]
-        natural[:, ci] = _vec_from_est(vals, tr)
+    for ci, (b, tr) in enumerate(zip(layout.home, layout.transforms)):
+        natural[:, ci] = _vec_from_est(est[max(b, 0), :, ci], tr)
 
     return If2Result(
         best=best[1],

@@ -14,7 +14,8 @@ import pytest
 from oracles import save_cases
 
 from epipomp import io
-from epipomp.cli import main, parse_set, resolve_config
+from epipomp.benchmark import fit_benchmark
+from epipomp.cli import bundled_path, main, parse_set, resolve_config
 from epipomp.errors import ConfigError, DataFormatError
 from epipomp.series import ObservationSeries
 
@@ -449,6 +450,25 @@ class TestConfigFaults:
         summary = json.loads((tmp_path / "f" / "summary.json").read_text())
         assert "grid.toy_steps_per_week" in summary["error"]
 
+    @pytest.mark.parametrize(
+        "command, setting, key",
+        [
+            ("fit-if2", "fit.eval_particles=abc", "fit.eval_particles"),
+            ("fit-if2", 'fit.rw_sd={"beta": "x"}', "fit.rw_sd.beta"),
+            ("fit-if2", "fit.rw_sd=[1]", "fit.rw_sd"),
+            ("fit-ibpf", "blocks=5", "blocks"),
+            ("profile", "profile.values=5", "profile.values"),
+        ],
+    )
+    def test_settings_checked_where_used_exit_2_naming_the_key(
+        self, tmp_path, toy_cases, capsys, command, setting, key
+    ):
+        argv = [command, "--seed", "1", "--out", str(tmp_path / "f"), "--set", "model=toy:sir",
+                "--set", f"data.cases={toy_cases}", "--set", 'fit.rw_sd={"beta": 0.05}',
+                "--set", "profile.parameter=beta", "--set", setting]
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestDataWeeks:
     """``data.weeks`` selects the weeks [start, stop) of every model's data."""
@@ -476,6 +496,14 @@ class TestDataWeeks:
         assert code == 2
         error = json.loads((out / "summary.json").read_text())["error"]
         assert "data.weeks must be a list of two integers" in error
+
+    def test_benchmark_fits_the_selected_weeks(self, tmp_path):
+        out = tmp_path / "b"
+        assert main(["benchmark", "--out", str(out), "--set", "data.weeks=[0,10]"]) == 0
+        expected = fit_benchmark(io.load_cases(bundled_path("cases.csv")).subset(0, 10)).loglik
+        assert json.loads((out / "summary.json").read_text())["loglik"] == expected
+        assert main(["benchmark", "--out", str(out), "--set", "data.weeks=[0,9999]"]) == 2
+        assert "out of range" in json.loads((out / "summary.json").read_text())["error"]
 
     def test_toy_weeks_without_cases_file_exit_2(self, tmp_path):
         out = tmp_path / "s"

@@ -139,13 +139,20 @@ class TestIf2:
 
 class TestIbpf:
     def test_one_block_bit_identical_to_if2(self, sir_data):
-        m, g, data = sir_data
-        kwargs = dict(J=60, M=4, rw_sd={"beta": 0.05}, cooling=0.6)
-        a = if2(m, data, g, None, If2Settings(**kwargs), seed=23)
-        b = ibpf(m, data, g, None, If2Settings(**kwargs), seed=23, blocks=[["unit"]])
-        assert [r.eval_loglik for r in a.trace] == [r.eval_loglik for r in b.trace]
-        assert [r.pass_loglik for r in a.trace] == [r.pass_loglik for r in b.trace]
-        assert np.array_equal(a.swarm, b.swarm)
+        # toy:sir searches one shared column; toy:metapop the unit-specific
+        # beta family plus the shared gamma
+        mp = metapop_model()
+        mp_data = simulate(mp, mp.params, toy_grid(20), n_sims=1, seed=8).observation_series(0)
+        for m, g, data, rw_sd in (
+            (*sir_data, {"beta": 0.05}),
+            (mp, toy_grid(20), mp_data, {"beta": 0.05, "gamma": 0.05}),
+        ):
+            kwargs = dict(J=60, M=4, rw_sd=rw_sd, cooling=0.6)
+            a = if2(m, data, g, None, If2Settings(**kwargs), seed=23)
+            b = ibpf(m, data, g, None, If2Settings(**kwargs), seed=23, blocks=[list(m.units)])
+            assert [r.eval_loglik for r in a.trace] == [r.eval_loglik for r in b.trace]
+            assert [r.pass_loglik for r in a.trace] == [r.pass_loglik for r in b.trace]
+            assert np.array_equal(a.swarm, b.swarm)
 
     @pytest.mark.parametrize("units", [("a",), ("b", "a")])
     def test_data_units_must_match_model_units(self, units):
@@ -232,27 +239,27 @@ class TestSharedReconciliation:
 
 class TestNaturalTheta:
     def test_matches_per_unit_loop(self):
-        # reference: each searched column written one unit at a time; a shared
-        # column takes the copy of the block that owns the unit
+        # reference: each searched column written one unit at a time from the
+        # copy held by the unit's block; a unit-specific column's copies
+        # outside its home block are never read, so NaN there changes nothing
         m = metapop_model(units=("a", "b", "c"))
         blocks = [["a", "c"], ["b"]]
         layout = _expand_search(m, m.params, {"gamma": 0.1, "beta": 0.1, "rho": 0.1}, blocks)
-        shared_cols, unit_cols = list(layout.shared_cols), list(layout.unit_cols)
-        rng = np.random.default_rng(0)
-        est_shared = rng.normal(size=(2, 7, len(shared_cols)))
-        est_unit = rng.normal(size=(7, len(unit_cols)))
+        est = np.random.default_rng(0).normal(size=(2, 7, len(layout.keys)))
         fixed = compile_theta(m, m.params)
-        theta = _natural_theta(m, fixed, layout, est_shared, est_unit)
+        theta = _natural_theta(m, fixed, layout, est)
         block_of = {"a": 0, "c": 0, "b": 1}
+        masked = est.copy()
         for ci, key in enumerate(layout.keys):
             base, unit = split_key(key)
+            if unit is not None:
+                masked[[b for b in range(2) if b != block_of[unit]], :, ci] = np.nan
             for u, name in enumerate(m.units):
-                if unit is None:
-                    est = est_shared[block_of[name], :, shared_cols.index(ci)]
-                elif unit == name:
-                    est = est_unit[:, unit_cols.index(ci)]
-                else:
-                    continue
-                assert np.array_equal(theta[base][:, u], _vec_from_est(est, layout.transforms[ci]))
+                if unit in (None, name):
+                    expected = _vec_from_est(est[block_of[name], :, ci], layout.transforms[ci])
+                    assert np.array_equal(theta[base][:, u], expected)
+        assert np.isnan(masked).any()
+        theta_masked = _natural_theta(m, fixed, layout, masked)
+        assert all(np.array_equal(theta_masked[k], theta[k]) for k in theta)
         unsearched = [k for k in fixed if k not in ("gamma", "beta", "rho")]
         assert unsearched and all(theta[k] is fixed[k] for k in unsearched)

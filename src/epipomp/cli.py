@@ -105,6 +105,17 @@ COMMANDS = (
 
 STOCHASTIC_COMMANDS = {"simulate", "filter", "fit-if2", "fit-ibpf", "profile", "forecast"}
 
+TOY_MODELS = {
+    "toy:sir": lambda: sir_model(),
+    "toy:sir-det": lambda: sir_model(stochastic=False),
+    "toy:metapop": lambda: metapop_model(),
+    "toy:puredeath": lambda: pure_death_model(),
+    "toy:puredeath-det": lambda: pure_death_model(stochastic=False),
+    "toy:hmm": lambda: hmm_model(),
+    "toy:lgssm": lambda: lgssm_model(),
+}
+MODELS = ("model1", "model2", "model3", *TOY_MODELS)
+
 EXIT_CODES = {
     "config": 2,
     "data": 3,
@@ -127,7 +138,7 @@ def deep_merge(base: dict, extra: dict) -> dict:
 
 
 def parse_set(items: list[str]) -> dict:
-    """Parse ``--set a.b=value`` overrides; values are JSON when possible."""
+    """Parse ``--set a.b=value`` overrides; values are JSON when possible, and a later one wins."""
     out: dict = {}
     for item in items:
         if "=" not in item:
@@ -137,31 +148,75 @@ def parse_set(items: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = out
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-        node[parts[-1]] = value
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        out = deep_merge(out, value)
     return out
 
 
-# the values a setting takes, by the type of its default
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_date(value) -> bool:
+    try:
+        dt.date.fromisoformat(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _list_of(takes: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda value: isinstance(value, list) and all(map(takes, value))
+
+
+def _is_linspace(value) -> bool:
+    return (isinstance(value, dict) and sorted(value) == ["hi", "lo", "n"] and _is_number(value["lo"])
+            and _is_number(value["hi"]) and _is_int(value["n"]) and value["n"] >= 1)
+
+
+# what a setting takes, by the type of its default; a null default also takes null
 _TAKES = {
-    bool: ((bool,), "true or false"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str, type(None)), "a string or null"),
+    bool: (lambda value: isinstance(value, bool), "true or false"),
+    int: (_is_int, "an integer"),
+    float: (_is_number, "a number"),
+    str: (lambda value: value is None or _is_str(value), "a string or null"),
+    type(None): (_is_str, "a string or null"),
+}
+
+# what a setting takes whose default does not say it, by its dotted key
+_SHAPES = {
+    "model": (lambda value: value in MODELS, f"one of {list(MODELS)}"),
+    "seed": (lambda value: _is_int(value) and value >= 0, "a nonnegative integer or null"),
+    "data.weeks": (lambda value: _list_of(_is_int)(value) and len(value) == 2,
+                   "a list of two integers [start, stop] or null"),
+    "data.hurricane_date": (lambda value: value is None or _is_date(value), "an ISO-8601 date or null"),
+    "data.phase_break_date": (_is_date, "an ISO-8601 date or null"),
+    "fit.eval_particles": (_is_int, "an integer or null"),
+    "blocks": (_list_of(_list_of(_is_str)), "a list of lists of unit names or null"),
+    "fit_traj.free": (_list_of(_is_str), "a list of parameter names"),
+    "profile.values": (lambda value: _list_of(_is_number)(value) or _is_linspace(value),
+                       'a list of numbers or {"lo": number, "hi": number, "n": integer >= 1}'),
+    "profile.method": (lambda value: value in ("if2", "traj"), "'if2' or 'traj'"),
 }
 
 
 def check_config(cfg: dict, defaults: dict = DEFAULTS, prefix: str = "") -> None:
-    """Refuse a key that ``DEFAULTS`` lacks and a value of the wrong type.
+    """Refuse a key that ``DEFAULTS`` lacks and a value its setting does not take.
 
-    A table with defaults takes only its own keys; the empty tables
-    (``params``, ``fit.rw_sd``) take a table with any keys. A setting whose
-    default is an int takes an int, a float any number, a bool a bool, and a
-    str a str or null. Settings whose default is null or a list, and the
-    entries of the empty tables, are checked where they are used.
+    This is the one record of what each setting takes. A table with defaults
+    takes its own keys, an empty one (``params``, ``fit.rw_sd``) a table of
+    numbers; a setting takes what ``_SHAPES`` says, else what ``_TAKES`` says
+    for the type of its default. Week ranges, block partitions and parameter
+    names need the model or the data and are checked where those are known.
     """
     for key, value in cfg.items():
         name = prefix + key
@@ -175,34 +230,34 @@ def check_config(cfg: dict, defaults: dict = DEFAULTS, prefix: str = "") -> None
                 raise ConfigError(f"{name} must be a table of settings, got {value!r}")
             if default:
                 check_config(value, default, name + ".")
-        elif type(default) in _TAKES:
-            types, what = _TAKES[type(default)]
-            if not isinstance(value, types) or (isinstance(value, bool) and type(default) is not bool):
+            elif bad := [f"{name}.{k}={v!r}" for k, v in value.items() if not _is_number(v)]:
+                raise ConfigError(f"{name} must be a table of numbers, got {', '.join(bad)}")
+        elif value is not None or default is not None:
+            takes, what = _SHAPES.get(name) or _TAKES[type(default)]
+            if not takes(value):
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
+    """Defaults, then the config file, then ``--set``, then the flags. Only
+    ``out`` is checked here: ``run_command`` checks the rest and reports in it."""
     cfg = copy.deepcopy(DEFAULTS)
     if args.config:
         try:
             file_cfg = json.loads(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file {args.config!r} does not exist") from None
+        except OSError as exc:
+            raise ConfigError(f"config file {args.config!r} cannot be read: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {args.config!r} is not valid JSON: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {args.config!r} must hold a JSON object, got {file_cfg!r}")
         cfg = deep_merge(cfg, file_cfg)
     cfg = deep_merge(cfg, parse_set(args.set or []))
-    check_config(cfg)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.workers is not None:
-        cfg["workers"] = args.workers
-    if args.out is not None:
-        cfg["out"] = args.out
+    for flag in ("seed", "workers", "out"):
+        if getattr(args, flag) is not None:
+            cfg[flag] = getattr(args, flag)
+    if not isinstance(cfg["out"], str):
+        raise ConfigError(f"out must be a string, got {cfg['out']!r}")
     return cfg
 
 
@@ -250,8 +305,8 @@ def _rain_covariates(cfg: dict, inputs: dict, start_date: dt.date, geo) -> Covar
     rain = standardize_rainfall(raw, depts)
     times = np.array([io.week_time(start_date, x) for x in dates])
     hurricane = None
-    if d.get("hurricane_date"):
-        hurricane = io.week_time(start_date, io.parse_date(str(d["hurricane_date"])))
+    if d["hurricane_date"]:
+        hurricane = io.week_time(start_date, io.parse_date(d["hurricane_date"]))
     return CovariateTable(
         times=times, step=WEEK, rainfall=rain, units=tuple(depts), hurricane_time=hurricane
     )
@@ -262,8 +317,6 @@ def _selected_weeks(cfg: dict, n_obs: int) -> tuple[int, int] | None:
     weeks = cfg["data"]["weeks"]
     if weeks is None:
         return None
-    if not (isinstance(weeks, list) and len(weeks) == 2 and all(type(w) is int for w in weeks)):
-        raise ConfigError(f"data.weeks must be a list of two integers [start, stop], got {weeks!r}")
     a, b = weeks
     if not 0 <= a < b <= n_obs:
         raise ConfigError(f"weeks subset {weeks} out of range [0, {n_obs}]")
@@ -285,16 +338,13 @@ def _subset_weeks(cfg: dict, data: ObservationSeries, grid: TimeGrid):
 
 
 def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | None = None) -> Bundle:
-    """The configured model with its data, grid and covariates.
-
-    The SHA-256 of every file read goes into ``inputs`` when it is given.
+    """The model of a checked config (``check_config``) with its data, grid and
+    covariates. The SHA-256 of every file read goes into ``inputs`` when it is given.
     """
     model_id = cfg["model"]
     inputs = {} if inputs is None else inputs
     if model_id.startswith("toy:"):
         return _build_toy_bundle(cfg, model_id, inputs, need_data)
-    if model_id not in ("model1", "model2", "model3"):
-        raise ConfigError(f"unknown model {cfg['model']!r}")
 
     d = cfg["data"]
     geo = io.load_geography(
@@ -342,8 +392,8 @@ def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | Non
         pop = float(np.sum(geo.populations))
         curve = io.load_efficacy(_data_path(cfg, "efficacy", "efficacy.csv", inputs))
         phase_break = None
-        if d.get("phase_break_date"):
-            phase_break = io.week_time(start_date, io.parse_date(str(d["phase_break_date"])))
+        if d["phase_break_date"]:
+            phase_break = io.week_time(start_date, io.parse_date(d["phase_break_date"]))
 
         def build(schedule=None):
             return m1.build_model1(
@@ -362,18 +412,7 @@ def _build_toy_bundle(cfg: dict, model_id: str, inputs: dict, need_data: bool) -
     steps = int(cfg["grid"]["toy_steps_per_week"])
     if steps < 1:
         raise ConfigError(f"grid.toy_steps_per_week must be >= 1, got {steps}")
-    builders = {
-        "toy:sir": lambda: sir_model(),
-        "toy:sir-det": lambda: sir_model(stochastic=False),
-        "toy:metapop": lambda: metapop_model(),
-        "toy:puredeath": lambda: pure_death_model(),
-        "toy:puredeath-det": lambda: pure_death_model(stochastic=False),
-        "toy:hmm": lambda: hmm_model(),
-        "toy:lgssm": lambda: lgssm_model(),
-    }
-    if model_id not in builders:
-        raise ConfigError(f"unknown toy model {model_id!r}; options: {sorted(builders)}")
-    model = builders[model_id]()
+    model = TOY_MODELS[model_id]()
     data = None
     if cfg["data"]["cases"]:
         data = io.load_cases(_read_input(Path(cfg["data"]["cases"]), inputs))
@@ -401,9 +440,6 @@ def _apply_param_overrides(params: ParameterSet, overrides: dict) -> ParameterSe
     unknown = [k for k in overrides if k not in params]
     if unknown:
         raise ConfigError(f"parameter overrides name unknown parameters {unknown}")
-    bad = [f"params.{k}={v!r}" for k, v in overrides.items() if not _is_number(v)]
-    if bad:
-        raise ConfigError(f"parameter overrides must be numbers: {', '.join(bad)}")
     return params.replace({k: float(v) for k, v in overrides.items()})
 
 
@@ -415,8 +451,7 @@ def _apply_param_overrides(params: ParameterSet, overrides: dict) -> ParameterSe
 def cmd_simulate(cfg: dict, out: Path, inputs: dict) -> dict:
     bundle = build_bundle(cfg, need_data=False, inputs=inputs)
     n_sims = int(cfg["simulate"]["n_sims"])
-    seed = _require_seed(cfg)
-    res = simulate(bundle.model, bundle.params, bundle.grid, bundle.covs, n_sims=n_sims, seed=seed)
+    res = simulate(bundle.model, bundle.params, bundle.grid, bundle.covs, n_sims=n_sims, seed=cfg["seed"])
     rows = []
     true_idx = (
         bundle.model.indices(bundle.model.true_infection_states)
@@ -444,22 +479,12 @@ def _fmt(v) -> str:
     return str(int(f)) if f == int(f) else f"{f:.6g}"
 
 
-def _blocks(cfg: dict) -> list[list[str]] | None:
-    """The configured block partition; ``resolve_blocks`` checks it against the model."""
-    blocks = cfg["blocks"]
-    if not (blocks is None or (isinstance(blocks, list) and all(
-            isinstance(b, list) and all(isinstance(u, str) for u in b) for b in blocks))):
-        raise ConfigError(f"blocks must be null or a list of lists of unit names, got {blocks!r}")
-    return blocks
-
-
 def cmd_filter(cfg: dict, out: Path, inputs: dict) -> dict:
     bundle = build_bundle(cfg, inputs=inputs)
-    seed = _require_seed(cfg)
     J = int(cfg["filter"]["J"])
     res = particle_filter(
-        bundle.model, bundle.params, bundle.data, bundle.grid, bundle.covs, J=J, seed=seed,
-        blocks=_blocks(cfg),
+        bundle.model, bundle.params, bundle.data, bundle.grid, bundle.covs, J=J, seed=cfg["seed"],
+        blocks=cfg["blocks"],
     )
     rows = []
     for n in range(bundle.data.n_obs):
@@ -480,22 +505,16 @@ def cmd_filter(cfg: dict, out: Path, inputs: dict) -> dict:
 
 def _fit_settings(cfg: dict, params: ParameterSet) -> If2Settings:
     fit = cfg["fit"]
-    bad = [f"fit.rw_sd.{k}={v!r}" for k, v in fit["rw_sd"].items() if not _is_number(v)]
-    if bad:
-        raise ConfigError(f"random-walk sds must be numbers: {', '.join(bad)}")
     rw = {k: float(v) for k, v in fit["rw_sd"].items()}
     if not rw:
         raise ConfigError("fit.rw_sd must name at least one searched parameter")
-    eval_particles = fit["eval_particles"]
-    if not (eval_particles is None or type(eval_particles) is int):
-        raise ConfigError(f"fit.eval_particles must be an integer or null, got {eval_particles!r}")
     return If2Settings(
         J=int(fit["J"]),
         M=int(fit["M"]),
         rw_sd=rw,
         cooling=float(fit["cooling"]),
         initial=params,
-        eval_particles=eval_particles,
+        eval_particles=fit["eval_particles"],
     )
 
 
@@ -530,18 +549,16 @@ def _write_fit_outputs(out: Path, result, bundle: Bundle) -> dict:
 
 def cmd_fit_if2(cfg: dict, out: Path, inputs: dict) -> dict:
     bundle = build_bundle(cfg, inputs=inputs)
-    seed = _require_seed(cfg)
     settings = _fit_settings(cfg, bundle.params)
-    result = if2(bundle.model, bundle.data, bundle.grid, bundle.covs, settings, seed=seed)
+    result = if2(bundle.model, bundle.data, bundle.grid, bundle.covs, settings, seed=cfg["seed"])
     return _write_fit_outputs(out, result, bundle)
 
 
 def cmd_fit_ibpf(cfg: dict, out: Path, inputs: dict) -> dict:
     bundle = build_bundle(cfg, inputs=inputs)
-    seed = _require_seed(cfg)
     settings = _fit_settings(cfg, bundle.params)
     result = ibpf(
-        bundle.model, bundle.data, bundle.grid, bundle.covs, settings, seed=seed, blocks=_blocks(cfg)
+        bundle.model, bundle.data, bundle.grid, bundle.covs, settings, seed=cfg["seed"], blocks=cfg["blocks"]
     )
     return _write_fit_outputs(out, result, bundle)
 
@@ -599,31 +616,14 @@ def _profile_job(cfg: dict, parameter: str, value: float, seed: int) -> tuple[fl
     if parameter not in bundle.params:
         raise ConfigError(f"profiled parameter {parameter!r} is not a model parameter")
     params = bundle.params.replace({parameter: value})
-    method = cfg["profile"]["method"]
-    if method == "traj":
+    if cfg["profile"]["method"] == "traj":
         free = [p for p in cfg["fit_traj"]["free"] if p != parameter]
         loglik = trajectory_match(bundle.model, bundle.data, bundle.grid, bundle.covs, params, free).loglik
-    elif method == "if2":
+    else:
         rw = {k: v for k, v in cfg["fit"]["rw_sd"].items() if k != parameter}
         settings = _fit_settings({**cfg, "fit": {**cfg["fit"], "rw_sd": rw}}, params)
         loglik = if2(bundle.model, bundle.data, bundle.grid, bundle.covs, settings, seed=seed).best_loglik
-    else:
-        raise ConfigError(f"unknown profile method {method!r} (expected 'if2' or 'traj')")
     return loglik, inputs
-
-
-def _profile_values(values) -> list[float]:
-    """``profile.values``: a list of numbers, or ``{"lo", "hi", "n"}`` for n even steps."""
-    if isinstance(values, dict) and sorted(values) == ["hi", "lo", "n"]:
-        lo, hi, n = values["lo"], values["hi"], values["n"]
-        if _is_number(lo) and _is_number(hi) and type(n) is int and n >= 1:
-            return [float(v) for v in np.linspace(float(lo), float(hi), n)]
-    elif isinstance(values, list) and all(_is_number(v) for v in values):
-        return [float(v) for v in values]
-    raise ConfigError(
-        f'profile.values must be a list of numbers or {{"lo": number, "hi": number, "n": integer >= 1}}, '
-        f"got {values!r}"
-    )
 
 
 def cmd_profile(cfg: dict, out: Path, inputs: dict) -> dict:
@@ -631,9 +631,11 @@ def cmd_profile(cfg: dict, out: Path, inputs: dict) -> dict:
     parameter = pr["parameter"]
     if not parameter:
         raise ConfigError("profile.parameter must be set")
-    values = _profile_values(pr["values"])
-    seed = _require_seed(cfg)
-    jobs = profile_design(parameter, values, replicates=int(pr["replicates"]), base_seed=seed)
+    values = pr["values"]
+    if isinstance(values, dict):  # {"lo", "hi", "n"}: n even steps
+        values = np.linspace(float(values["lo"]), float(values["hi"]), values["n"])
+    values = [float(v) for v in values]
+    jobs = profile_design(parameter, values, replicates=int(pr["replicates"]), base_seed=cfg["seed"])
     workers = int(cfg["workers"])
     args = [(cfg, j.parameter, j.value, j.seed) for j in jobs]
     if workers > 1:
@@ -729,7 +731,7 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
     model2 is deterministic and is projected from its start instead."""
     bundle = build_bundle(cfg, inputs=inputs)
     fc = cfg["forecast"]
-    seed = _require_seed(cfg)
+    seed = cfg["seed"]
     scenario_id = str(fc["scenario"])
     horizon = int(fc["horizon_weeks"])
     origin = bundle.grid.t_end
@@ -778,7 +780,7 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
     check_window(window, horizon)  # before the filter, not after every simulation
     pf = particle_filter(
         bundle.model, bundle.params, bundle.data, bundle.grid, bundle.covs,
-        J=int(fc["J"]), seed=seed, blocks=_blocks(cfg),
+        J=int(fc["J"]), seed=seed, blocks=cfg["blocks"],
     )
     sample = _embed_states(bundle.model, model_fc, pf.filter_sample)
     candidates = (
@@ -823,12 +825,6 @@ def _write_forecast(out: Path, res, bundle: Bundle, scenario_id: str) -> dict:
     }
 
 
-def _require_seed(cfg: dict) -> int:
-    if cfg.get("seed") is None:
-        raise ConfigError("a --seed is mandatory for stochastic commands")
-    return int(cfg["seed"])
-
-
 HANDLERS = {
     "simulate": cmd_simulate,
     "filter": cmd_filter,
@@ -843,7 +839,7 @@ HANDLERS = {
 
 
 def run_command(command: str, cfg: dict) -> int:
-    """Execute one command; returns the process exit status."""
+    """Check ``cfg`` and execute one command; returns the process exit status."""
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     inputs: dict[str, str] = {}  # path -> SHA-256 of every file the command reads
@@ -859,8 +855,9 @@ def run_command(command: str, cfg: dict) -> int:
     }
     started = time.time()
     try:
-        if command in STOCHASTIC_COMMANDS:
-            _require_seed(cfg)
+        check_config(cfg)
+        if command in STOCHASTIC_COMMANDS and cfg["seed"] is None:
+            raise ConfigError("a --seed is mandatory for stochastic commands")
         summary = HANDLERS[command](cfg, out, inputs)
         manifest["status"] = "ok"
         manifest["partial"] = False

@@ -15,7 +15,7 @@ from oracles import save_cases
 
 from epipomp import io
 from epipomp.benchmark import fit_benchmark
-from epipomp.cli import bundled_path, main, parse_set, resolve_config
+from epipomp.cli import _SHAPES, DEFAULTS, bundled_path, check_config, main, parse_set, resolve_config
 from epipomp.errors import ConfigError, DataFormatError
 from epipomp.series import ObservationSeries
 
@@ -397,7 +397,8 @@ class TestCliPipeline:
 
 
 class TestConfigFaults:
-    """Every config value is checked against DEFAULTS before a command runs."""
+    """Every config value is checked against DEFAULTS before a command runs,
+    and a fault is reported in the output directory like any other."""
 
     def run(self, tmp_path, toy_cases, *sets) -> int:
         argv = ["filter", "--seed", "1", "--out", str(tmp_path / "f"),
@@ -425,6 +426,9 @@ class TestConfigFaults:
     ):
         assert self.run(tmp_path, toy_cases, setting) == 2
         assert message in capsys.readouterr().err
+        summary = json.loads((tmp_path / "f" / "summary.json").read_text())
+        assert summary["category"] == "config" and message in summary["error"]
+        assert json.loads((tmp_path / "f" / "manifest.json").read_text())["partial"] is True
 
     def test_config_file_is_checked_too(self, tmp_path, toy_cases, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -433,6 +437,68 @@ class TestConfigFaults:
                      "--set", "model=toy:sir", "--set", f"data.cases={toy_cases}"])
         assert code == 2
         assert "unknown config key 'filter.j'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, setting, key",
+        [
+            ("filter", "data.cases=5", "data.cases"),
+            ("filter", "data.rainfall=5", "data.rainfall"),
+            ("mcap", "mcap.input=5", "mcap.input"),
+            ("forecast", "forecast.candidates=5", "forecast.candidates"),
+            ("fit-traj", "fit_traj.free=5", "fit_traj.free"),
+            ("filter", "seed=abc", "seed"),
+            ("filter", "seed=1.5", "seed"),
+            ("filter", "seed=true", "seed"),
+            ("filter", "seed=-1", "seed"),
+            ("filter", "data.hurricane_date=abc", "data.hurricane_date"),
+            ("filter", "data.phase_break_date=2016-13-01", "data.phase_break_date"),
+            ("filter", "model=null", "model"),
+            ("filter", "model.name=toy:sir", "model"),
+            ("profile", "profile.method=mle", "profile.method"),
+        ],
+    )
+    def test_value_the_setting_does_not_take_exits_2_naming_it(
+        self, tmp_path, toy_cases, command, setting, key
+    ):
+        out = tmp_path / "f"
+        argv = [command, "--out", str(out), "--set", "model=toy:sir", "--set", f"data.cases={toy_cases}",
+                "--set", "seed=1", "--set", "profile.parameter=beta", "--set", setting]
+        assert main(argv) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["category"] == "config"
+        assert summary["error"].startswith(f"{key} must be")
+        assert (out / "manifest.json").is_file()
+
+    @pytest.mark.parametrize("text", [None, "{not json", "[1]"], ids=["missing", "not-json", "not-an-object"])
+    def test_unreadable_config_file_exits_2_without_output(self, tmp_path, capsys, text):
+        # there is no checked config, and so no output directory, to report in
+        cfg_file = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_file.write_text(text)
+        out = tmp_path / "o"
+        assert main(["filter", "--seed", "1", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert f"config error: config file {str(cfg_file)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["set", "null", "file"])
+    def test_out_that_is_not_a_string_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, source):
+        monkeypatch.chdir(tmp_path)
+        cfg_file = write(tmp_path / "cfg.json", json.dumps({"out": 5}))
+        argv = {"set": ["--set", "out=5"], "null": ["--set", "out=null"], "file": ["--config", str(cfg_file)]}
+        assert main(["simulate", "--seed", "1", "--set", "model=toy:sir", *argv[source]]) == 2
+        assert "config error: out must be a string" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_defaults_pass_and_every_shape_names_a_setting(self):
+        def leaves(table, prefix=""):
+            for key, value in table.items():
+                if isinstance(value, dict) and value:
+                    yield from leaves(value, prefix + key + ".")
+                elif not isinstance(value, dict):
+                    yield prefix + key
+
+        check_config(DEFAULTS)
+        assert set(_SHAPES) <= set(leaves(DEFAULTS))
 
     def test_float_setting_takes_an_integer_and_null_turns_a_string_off(self):
         args = TestConfigPrecedence()._args(set=["grid.euler_days=1", "data.hurricane_date=null"])

@@ -200,6 +200,8 @@ _SHAPES = {
                    "a list of two integers [start, stop] or null"),
     "data.hurricane_date": (lambda value: value is None or _is_date(value), "an ISO-8601 date or null"),
     "data.phase_break_date": (_is_date, "an ISO-8601 date or null"),
+    "grid.euler_days": (lambda value: _is_number(value) and value > 0, "a number > 0"),
+    "grid.toy_steps_per_week": (lambda value: _is_int(value) and value >= 1, "an integer >= 1"),
     "fit.eval_particles": (_is_int, "an integer or null"),
     "blocks": (_list_of(_list_of(_is_str)), "a list of lists of unit names or null"),
     "fit_traj.free": (_list_of(_is_str), "a list of parameter names"),
@@ -409,9 +411,6 @@ def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | Non
 
 
 def _build_toy_bundle(cfg: dict, model_id: str, inputs: dict, need_data: bool) -> Bundle:
-    steps = int(cfg["grid"]["toy_steps_per_week"])
-    if steps < 1:
-        raise ConfigError(f"grid.toy_steps_per_week must be >= 1, got {steps}")
     model = TOY_MODELS[model_id]()
     data = None
     if cfg["data"]["cases"]:
@@ -427,7 +426,7 @@ def _build_toy_bundle(cfg: dict, model_id: str, inputs: dict, need_data: bool) -
         raise ConfigError(f"data.weeks selects weeks of a cases file, and {model_id} has none")
     else:
         n_obs = int(cfg["simulate"]["horizon_weeks"])
-    grid = toy_grid(n_obs, euler_step=1.0 / steps)
+    grid = toy_grid(n_obs, euler_step=1.0 / cfg["grid"]["toy_steps_per_week"])
     if data is not None:
         data, grid = _subset_weeks(cfg, data, grid)
     params = _apply_param_overrides(model.params, cfg["params"])
@@ -736,6 +735,11 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
     horizon = int(fc["horizon_weeks"])
     origin = bundle.grid.t_end
     toy = bundle.model_id.startswith("toy:")
+    week = 1.0 if toy else WEEK
+
+    def horizon_grid(t0: float, n: int) -> TimeGrid:
+        # n weeks after t0, stepped as the filter was
+        return TimeGrid(t0, t0 + np.arange(1, n + 1) * week, bundle.grid.euler_step)
 
     schedule = None
     if toy:
@@ -755,8 +759,7 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
 
     if bundle.model_id == "model2":
         proj = trajectory_projection(
-            model_fc, bundle.params, bundle.covs, 0.0,
-            int(round(origin / WEEK)) + horizon, euler_step=bundle.grid.euler_step,
+            model_fc, bundle.params, bundle.covs, horizon_grid(0.0, round(origin / WEEK) + horizon)
         )
         keep = proj.times > origin + 1e-12
         io.write_table(
@@ -787,10 +790,8 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
         _load_candidates(fc["candidates"], bundle.params, inputs) if fc.get("candidates") else None
     )
     res = forecast_from_filter(
-        model_fc, bundle.params, sample, bundle.covs,
-        origin, horizon, int(fc["n_sims"]), seed=seed + 1, window=window,
-        euler_step=bundle.grid.euler_step, param_candidates=candidates,
-        week_duration=1.0 if toy else WEEK,
+        model_fc, bundle.params, sample, bundle.covs, horizon_grid(origin, horizon),
+        int(fc["n_sims"]), seed=seed + 1, window=window, param_candidates=candidates,
     )
     summary = _write_forecast(out, res, bundle, scenario_id)
     summary["filter_loglik"] = pf.loglik
@@ -841,7 +842,11 @@ HANDLERS = {
 def run_command(command: str, cfg: dict) -> int:
     """Check ``cfg`` and execute one command; returns the process exit status."""
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # nowhere to report but stderr
+        print(f"config error: out {cfg['out']!r} cannot be made a directory: {exc.strerror}", file=sys.stderr)
+        return EXIT_CODES["config"]
     inputs: dict[str, str] = {}  # path -> SHA-256 of every file the command reads
     manifest = {
         "command": command,

@@ -23,9 +23,10 @@ from .grid import TimeGrid
 from .model import PompModel, advance, compile_theta, make_rng, propagate, simulate
 from .params import ParameterSet
 from .series import CovariateTable
-from .units import WEEK
 
 ELIMINATION_WINDOW = 52
+#: standard normal quantile of a 95% measurement band
+BAND_Z = float(ndtri(0.975))
 
 
 @dataclass
@@ -76,16 +77,6 @@ def elimination_probability(
     return float(np.sum(flags)) / n_sims, flags
 
 
-def _horizon_grid(
-    origin: float, horizon_weeks: int, euler_step: float | None, week_duration: float
-) -> TimeGrid:
-    """Weekly grid of ``horizon_weeks`` observations after ``origin``."""
-    if horizon_weeks < 1:
-        raise ValidationError("horizon must be at least one week")
-    times = origin + np.arange(1, horizon_weeks + 1) * week_duration
-    return TimeGrid(t0=origin, obs_times=times, euler_step=euler_step or week_duration / 7.0)
-
-
 def _stack_thetas(model: PompModel, draws: Sequence[ParameterSet]) -> dict:
     """Merge per-simulation parameter sets into per-particle theta arrays."""
     thetas = [compile_theta(model, d) for d in draws]
@@ -107,24 +98,21 @@ def forecast_from_filter(
     params: ParameterSet,
     filter_sample: np.ndarray,
     covs: CovariateTable | None,
-    origin: float,
-    horizon_weeks: int,
+    grid: TimeGrid,
     n_sims: int,
     seed: int = 0,
     param_candidates: Sequence[tuple[ParameterSet, float]] | None = None,
     window: int = ELIMINATION_WINDOW,
-    euler_step: float | None = None,
-    week_duration: float = WEEK,
 ) -> ForecastResult:
     """Simulate forward from filtering-distribution particles under a scenario.
 
     Each simulation starts from a uniformly drawn particle of
     ``filter_sample`` and, when ``param_candidates`` is given, a
-    likelihood-weighted parameter draw. ``covs`` must cover
-    [origin, origin + horizon] or the call fails. ``week_duration`` is the
-    reporting interval in the model's time unit (1/52.14 yr for the built-in
-    models, 1.0 for the weekly-unit toys). The model must track one
-    true-infection accumulator per unit, which elimination is measured on.
+    likelihood-weighted parameter draw, and runs over ``grid``: ``grid.t0``
+    is the forecast origin and each observation time one forecast week.
+    ``covs`` must cover [grid.t0, grid.t_end] or the call fails. The model
+    must track one true-infection accumulator per unit, which elimination is
+    measured on.
     """
     sample = np.asarray(filter_sample, dtype=float)
     if sample.ndim != 2 or sample.shape[0] == 0:
@@ -137,8 +125,7 @@ def forecast_from_filter(
         raise ValidationError("n_sims must be >= 1")
     if len(model.true_infection_states) != model.n_units:
         raise ValidationError(f"model {model.name!r} must track one true-infection accumulator per unit")
-    check_window(window, horizon_weeks)
-    grid = _horizon_grid(origin, horizon_weeks, euler_step, week_duration)
+    check_window(window, grid.n_obs)
 
     rng = make_rng(seed)
     X = sample[rng.integers(0, sample.shape[0], size=n_sims)]
@@ -179,16 +166,12 @@ def trajectory_projection(
     model: PompModel,
     params: ParameterSet,
     covs: CovariateTable | None,
-    origin: float,
-    horizon_weeks: int,
-    euler_step: float | None = None,
-    level: float = 0.95,
-    week_duration: float = WEEK,
+    grid: TimeGrid,
 ) -> ProjectionResult:
     """Skeleton projection with log-normal measurement band.
 
-    The skeleton is one ``simulate`` run from ``rinit``. The band is the
-    per-week (1-level)/2 and (1+level)/2 quantiles of the log-normal
+    The skeleton is one ``simulate`` run from ``rinit`` over ``grid``. The
+    band is the per-week 2.5% and 97.5% quantiles of the log-normal
     reporting model: exp(log(rho*m + 1) +/- z*psi) - 1 around the
     deterministic mean m; psi -> 0 collapses the band onto rho*m. ``params``
     must hold ``rho`` and ``psi``.
@@ -198,13 +181,11 @@ def trajectory_projection(
     if len(model.measured_states) != model.n_units:
         raise ValidationError("model must track one measured-incidence accumulator per unit")
     params.require(["rho", "psi"])
-    z = float(ndtri(0.5 + level / 2.0))
-    grid = _horizon_grid(origin, horizon_weeks, euler_step, week_duration)
     latent = simulate(model, params, grid, covs).states[0, 1:]
     rho, psi = float(params["rho"]), float(params["psi"])
     mean_rep = rho * latent[:, model.indices(model.measured_states)]
-    lower = np.exp(np.log(mean_rep + 1.0) - z * psi) - 1.0
-    upper = np.exp(np.log(mean_rep + 1.0) + z * psi) - 1.0
+    lower = np.exp(np.log(mean_rep + 1.0) - BAND_Z * psi) - 1.0
+    upper = np.exp(np.log(mean_rep + 1.0) + BAND_Z * psi) - 1.0
     return ProjectionResult(
         times=grid.obs_times,
         units=model.units,

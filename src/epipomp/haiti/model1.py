@@ -35,7 +35,7 @@ I0_COUNT = 7298.0
 E0_COUNT = 350.0
 
 
-def seasonal_beta(t, coeffs, trend, t0: float, t_end: float):
+def seasonal_beta(t: float, coeffs, trend, t0: float, t_end: float):
     """Seasonal transmission rate beta(t) in wk^-1.
 
     beta(t) = exp(sum_j coeffs_j s_j(t) + trend * tbar) with s_j the periodic
@@ -43,13 +43,13 @@ def seasonal_beta(t, coeffs, trend, t0: float, t_end: float):
     rescaled to [-1, 1]. ``coeffs`` is a sequence of 6 scalars or per-particle
     arrays.
     """
-    s = periodic_bspline_basis(np.asarray(t, dtype=float))
+    s = periodic_bspline_basis(float(t))
     mid = 0.5 * (t_end + t0)
     half = 0.5 * (t_end - t0)
-    tbar = (np.asarray(t, dtype=float) - mid) / half
+    tbar = (t - mid) / half
     log_b = trend * tbar
     for j in range(6):
-        log_b = log_b + coeffs[j] * s[..., j]
+        log_b = log_b + coeffs[j] * s[j]
     return np.exp(log_b)
 
 

@@ -364,8 +364,7 @@ def test_criterion_12_elimination_predicate():
     pf = particle_filter(m, m.params, data, g, J=30, seed=0)
     res = forecast_from_filter(
         m, m.params.replace({"beta": 1e-12}), pf.filter_sample, None,
-        origin=g.t_end, horizon_weeks=60, n_sims=25, seed=5,
-        euler_step=1.0, week_duration=1.0,
+        TimeGrid(g.t_end, g.t_end + np.arange(1, 61), 1.0), n_sims=25, seed=5,
     )
     record(
         12,

@@ -14,11 +14,13 @@ from oracles import save_cases
 from epipomp import io
 from epipomp.cli import DEFAULTS, build_bundle, bundled_path, deep_merge, main, parse_set
 from epipomp.forecast import forecast_from_filter, trajectory_projection
+from epipomp.grid import TimeGrid
 from epipomp.haiti import apply_vaccination_scenario, builtin_scenario
 from epipomp.model import simulate
 from epipomp.filtering import particle_filter
 from epipomp.series import ObservationSeries
 from epipomp.toys import hmm_model, sir_model, toy_grid
+from epipomp.units import WEEK
 
 
 def run(*argv) -> int:
@@ -115,10 +117,11 @@ class TestForecastSimulatesTheFilteredModel:
         pf = particle_filter(
             bundle.model, bundle.params, bundle.data, bundle.grid, bundle.covs, J=J, seed=seed
         )
+        origin = bundle.grid.t_end
         res = forecast_from_filter(
             bundle.model, bundle.params, pf.filter_sample, bundle.covs,
-            bundle.grid.t_end, horizon, n_sims, seed=seed + 1, window=52,
-            euler_step=bundle.grid.euler_step,
+            TimeGrid(origin, origin + np.arange(1, horizon + 1) * WEEK, bundle.grid.euler_step),
+            n_sims, seed=seed + 1, window=52,
         )
         true_inf, reported = res.true_infections.sum(axis=2), res.reported.sum(axis=2)
         expected = [
@@ -148,7 +151,8 @@ class TestForecastSimulatesTheFilteredModel:
         fitted_weeks = bundle.data.n_obs
         projections = [
             trajectory_projection(
-                model, bundle.params, None, 0.0, fitted_weeks + horizon, euler_step=step
+                model, bundle.params, None,
+                TimeGrid(0.0, np.arange(1, fitted_weeks + horizon + 1) * WEEK, step),
             )
             for step in (bundle.grid.euler_step, 2.0 * bundle.grid.euler_step)
         ]
@@ -262,10 +266,7 @@ class TestForecastDeterminism:
         g = toy_grid(15)
         data = simulate(m, m.params, g, n_sims=1, seed=6).observation_series(0)
         pf = particle_filter(m, m.params, data, g, J=50, seed=1)
-        kwargs = dict(
-            covs=None, origin=g.t_end, horizon_weeks=70, n_sims=40,
-            euler_step=1.0, week_duration=1.0,
-        )
+        kwargs = dict(covs=None, grid=TimeGrid(g.t_end, g.t_end + np.arange(1, 71), 1.0), n_sims=40)
         a = forecast_from_filter(m, m.params, pf.filter_sample, seed=9, **kwargs)
         b = forecast_from_filter(m, m.params, pf.filter_sample, seed=9, **kwargs)
         assert a.probability == b.probability

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from epipomp.errors import ValidationError
 from epipomp.filtering import particle_filter
+from epipomp.grid import TimeGrid, weekly_grid
 from epipomp.forecast import (
     elimination_probability,
     forecast_from_filter,
@@ -93,8 +94,8 @@ class TestForecastFromFilter:
         data = simulate(m, m.params, g, n_sims=1, seed=3).observation_series(0)
         pf = particle_filter(m, m.params, data, g, J=30, seed=0)
         res = forecast_from_filter(
-            m, params, pf.filter_sample, None, origin=g.t_end,
-            horizon_weeks=60, n_sims=20, seed=5, euler_step=1.0, week_duration=1.0,
+            m, params, pf.filter_sample, None, TimeGrid(g.t_end, g.t_end + np.arange(1, 61), 1.0),
+            n_sims=20, seed=5,
         )
         assert res.probability == 1.0
 
@@ -116,10 +117,7 @@ class TestForecastFromFilter:
         a = m.params.replace({family_key("beta", "north"): 2.6})
         b = m.params.replace({family_key("beta", "south"): 0.4})
         sample = simulate(m, m.params, toy_grid(6), n_sims=20, seed=4).states[:, -1]
-        kwargs = dict(
-            covs=None, origin=6.0, horizon_weeks=60, n_sims=12, seed=8,
-            euler_step=1.0, week_duration=1.0,
-        )
+        kwargs = dict(covs=None, grid=TimeGrid(6.0, 6.0 + np.arange(1, 61), 1.0), n_sims=12, seed=8)
         weighted = forecast_from_filter(
             m, m.params, sample, param_candidates=[(a, 0.0), (b, -1e6)], **kwargs
         )
@@ -131,11 +129,10 @@ class TestForecastFromFilter:
         # a forecast is simulation from given states: one particle equal to
         # rinit's start reproduces simulate's stream draw for draw
         m = sir_model()
-        sim = simulate(m, m.params, toy_grid(60), n_sims=8, seed=21)
+        grid = toy_grid(60)
+        sim = simulate(m, m.params, grid, n_sims=8, seed=21)
         start = sim.states[:1, 0]
-        res = forecast_from_filter(
-            m, m.params, start, None, 0.0, 60, 8, seed=21, euler_step=1.0, week_duration=1.0
-        )
+        res = forecast_from_filter(m, m.params, start, None, grid, 8, seed=21)
         c_col = m.state_names.index("C_inc")
         np.testing.assert_array_equal(res.true_infections[:, :, 0], sim.states[:, 1:, c_col])
         np.testing.assert_array_equal(res.reported, sim.observations)
@@ -143,7 +140,7 @@ class TestForecastFromFilter:
     def test_empty_filter_sample_fails(self):
         m = pure_death_model()
         with pytest.raises(ValidationError):
-            forecast_from_filter(m, m.params, np.zeros((0, 2)), None, 0.0, 60, 5, 0, week_duration=1.0)
+            forecast_from_filter(m, m.params, np.zeros((0, 2)), None, toy_grid(60), 5, 0)
 
     def test_horizon_exceeding_covariates_fails(self):
         from epipomp.series import CovariateTable
@@ -155,7 +152,7 @@ class TestForecastFromFilter:
         sample = np.zeros((3, 4))
         sample[:, 0] = 100.0
         with pytest.raises(ValidationError):
-            forecast_from_filter(m, m.params, sample, covs, 0.0, 520, 5, 0)
+            forecast_from_filter(m, m.params, sample, covs, weekly_grid(520), 5, 0)
 
 
 class TestTrajectoryProjection:
@@ -164,16 +161,14 @@ class TestTrajectoryProjection:
         params = m.params.replace({"psi": 1e-12})
         # the sir toy uses an NB measurement; the band formula is log-normal,
         # exercised through the projection surface
-        proj = trajectory_projection(m, params, None, 0.0, 30, euler_step=0.5, week_duration=1.0)
+        proj = trajectory_projection(m, params, None, toy_grid(30, euler_step=0.5))
         np.testing.assert_allclose(proj.lower, proj.mean_reported, atol=1e-6)
         np.testing.assert_allclose(proj.upper, proj.mean_reported, atol=1e-6)
 
     def test_band_quantile_formula(self):
-        from scipy import stats
-
         m = sir_model(stochastic=False)
         params = m.params.replace({"psi": 0.3})
-        proj = trajectory_projection(m, params, None, 0.0, 20, euler_step=0.5, week_duration=1.0)
+        proj = trajectory_projection(m, params, None, toy_grid(20, euler_step=0.5))
         z = 1.959964
         np.testing.assert_allclose(
             proj.upper, np.exp(np.log(proj.mean_reported + 1.0) + z * 0.3) - 1.0, rtol=1e-6
@@ -181,19 +176,11 @@ class TestTrajectoryProjection:
         np.testing.assert_allclose(
             proj.lower, np.exp(np.log(proj.mean_reported + 1.0) - z * 0.3) - 1.0, rtol=1e-6
         )
-        for level in (0.5, 0.9, 0.95):
-            proj = trajectory_projection(
-                m, params, None, 0.0, 20, euler_step=0.5, week_duration=1.0, level=level
-            )
-            z = stats.norm.ppf(0.5 + level / 2.0)
-            log_mean = np.log(proj.mean_reported + 1.0)
-            np.testing.assert_allclose(proj.upper, np.exp(log_mean + z * 0.3) - 1.0, rtol=1e-12)
-            np.testing.assert_allclose(proj.lower, np.exp(log_mean - z * 0.3) - 1.0, rtol=1e-12)
 
     def test_stochastic_model_rejected(self):
         m = sir_model(stochastic=True)
         with pytest.raises(ValidationError):
-            trajectory_projection(m, m.params, None, 0.0, 60)
+            trajectory_projection(m, m.params, None, weekly_grid(60))
 
     def test_vaccination_never_increases_cumulative_infections(self):
         # deterministic skeleton: V4-style dosing removes susceptibles, so
@@ -213,8 +200,8 @@ class TestTrajectoryProjection:
         # epidemics overtake the baseline (honeymoon effect), so the
         # comparison is only meaningful while protection is active
         horizon = 104
-        proj_v4 = trajectory_projection(m_v4, m_v4.params, None, 0.0, horizon)
-        proj_v0 = trajectory_projection(m_v0, m_v0.params, None, 0.0, horizon)
+        proj_v4 = trajectory_projection(m_v4, m_v4.params, None, weekly_grid(horizon))
+        proj_v0 = trajectory_projection(m_v0, m_v0.params, None, weekly_grid(horizon))
         ti_cols = [m_v0.state_names.index(c) for c in m_v0.true_infection_states]
         cum_v4 = proj_v4.latent[:, ti_cols].sum()
         cum_v0 = proj_v0.latent[:, ti_cols].sum()

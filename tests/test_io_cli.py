@@ -489,6 +489,36 @@ class TestConfigFaults:
         assert "config error: out must be a string" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("target", ["file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_exits_2_naming_it(self, tmp_path, capsys, target):
+        taken = write(tmp_path / "taken", "not a directory")
+        out = taken if target == "file" else taken / "run"
+        assert main(["simulate", "--seed", "1", "--out", str(out), "--set", "model=toy:sir"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: out {str(out)!r}") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert taken.read_text() == "not a directory"
+
+    @pytest.mark.parametrize(
+        "command, model, setting, key",
+        [
+            ("simulate", "toy:sir", "grid.euler_days=-3", "grid.euler_days"),
+            ("filter", "toy:sir", "grid.euler_days=0", "grid.euler_days"),
+            ("filter", "model1", "grid.euler_days=0", "grid.euler_days"),
+            ("filter", "model1", "grid.toy_steps_per_week=0", "grid.toy_steps_per_week"),
+            ("forecast", "model3", "grid.toy_steps_per_week=-2", "grid.toy_steps_per_week"),
+        ],
+    )
+    def test_grid_step_out_of_range_exits_2_naming_it_for_every_model(
+        self, tmp_path, capsys, command, model, setting, key
+    ):
+        out = tmp_path / "f"
+        assert main([command, "--seed", "1", "--out", str(out), "--set", f"model={model}", "--set", setting]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["category"] == "config"
+        assert summary["error"].startswith(f"{key} must be")
+        assert key in capsys.readouterr().err
+
     def test_defaults_pass_and_every_shape_names_a_setting(self):
         def leaves(table, prefix=""):
             for key, value in table.items():

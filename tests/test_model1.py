@@ -49,12 +49,12 @@ class TestSeasonalBeta:
             assert seasonal_beta(t, [k] * 6, 0.0, 0.0, 8.0) == pytest.approx(np.exp(k))
 
     def test_periodicity_without_trend(self):
-        t = np.linspace(0, 1, 29)
-        np.testing.assert_allclose(
-            seasonal_beta(t, [1.4, 1.2, 1.1, 1.1, 1.4, 1.0], 0.0, 0.0, 8.0),
-            seasonal_beta(t + 1.0, [1.4, 1.2, 1.1, 1.1, 1.4, 1.0], 0.0, 0.0, 8.0),
-            rtol=1e-12,
-        )
+        for t in np.linspace(0, 1, 29):
+            np.testing.assert_allclose(
+                seasonal_beta(t, [1.4, 1.2, 1.1, 1.1, 1.4, 1.0], 0.0, 0.0, 8.0),
+                seasonal_beta(t + 1.0, [1.4, 1.2, 1.1, 1.1, 1.4, 1.0], 0.0, 0.0, 8.0),
+                rtol=1e-12,
+            )
 
 
 class TestForceOfInfection:

@@ -24,7 +24,7 @@ from ..euler import euler_multinomial, gamma_increment, poisson_inflow
 from ..measures import nb_logpmf, nb_sample
 from ..model import PompModel
 from ..params import ParamDef, ParameterSet
-from ..splines import periodic_bspline_basis
+from ..splines import N_BASIS, periodic_bspline_basis
 from ..units import WEEK, WEEKS_PER_YEAR, per_day, weekly_variance
 from .efficacy import AGE_CORRECTION, EfficacyCurve, default_curve
 from .geography import national_population
@@ -40,7 +40,7 @@ def seasonal_beta(t: float, coeffs, trend, t0: float, t_end: float):
 
     beta(t) = exp(sum_j coeffs_j s_j(t) + trend * tbar) with s_j the periodic
     cubic B-spline basis (period one year) and tbar the fitting window
-    rescaled to [-1, 1]. ``coeffs`` is a sequence of 6 scalars or per-particle
+    rescaled to [-1, 1]. ``coeffs`` is a sequence of N_BASIS scalars or per-particle
     arrays.
     """
     s = periodic_bspline_basis(float(t))
@@ -48,7 +48,7 @@ def seasonal_beta(t: float, coeffs, trend, t0: float, t_end: float):
     half = 0.5 * (t_end - t0)
     tbar = (t - mid) / half
     log_b = trend * tbar
-    for j in range(6):
+    for j in range(N_BASIS):
         log_b = log_b + coeffs[j] * s[j]
     return np.exp(log_b)
 
@@ -161,7 +161,7 @@ def build_model1(
         R = X[:, iR].astype(np.int64)
         n_alive = (S + E + I + A + R).sum(axis=1, keepdims=True)
 
-        coeffs = [theta[f"beta{j + 1}"] for j in range(6)]
+        coeffs = [theta[f"beta{j + 1}"] for j in range(N_BASIS)]
         beta_wk = seasonal_beta(t, coeffs, theta["zeta"], t0_w, t_end_w)
         sigma2 = weekly_variance(np.square(phase_value(theta, t, "sigma_proc_epi", "sigma_proc_end")))
         noise = gamma_increment(np.full((J, 1), dt), np.broadcast_to(sigma2, (J, 1)), rng) / dt

@@ -9,18 +9,18 @@ from __future__ import annotations
 import numpy as np
 
 N_BASIS = 6
-PERIOD = 1.0  # one year
 
 
 def periodic_bspline_basis(t: float) -> np.ndarray:
     """The ``N_BASIS`` basis functions at time ``t``.
 
-    Knots are uniform at j * PERIOD / N_BASIS; basis j is the cardinal cubic
-    starting at knot j, wrapped modulo the period. With ``i + u`` the phase
+    ``t`` is in years and the period is one year. Knots are uniform at
+    j / N_BASIS; basis j is the cardinal cubic starting at knot j, wrapped
+    modulo the period. With ``i + u`` the phase
     in knot units (0 <= u < 1), the four nonzero bases are ``i - m``, at
     offset ``u + m`` of their cardinal cubic, for m = 0..3.
     """
-    phase = (t / PERIOD) % 1.0 * N_BASIS
+    phase = t % 1.0 * N_BASIS
     i = int(phase)
     u = phase - i
     out = np.zeros(N_BASIS)

@@ -166,6 +166,8 @@ class TestTrajectoryProjection:
         np.testing.assert_allclose(proj.upper, proj.mean_reported, atol=1e-6)
 
     def test_band_quantile_formula(self):
+        from scipy import stats
+
         m = sir_model(stochastic=False)
         params = m.params.replace({"psi": 0.3})
         proj = trajectory_projection(m, params, None, toy_grid(20, euler_step=0.5))
@@ -176,6 +178,10 @@ class TestTrajectoryProjection:
         np.testing.assert_allclose(
             proj.lower, np.exp(np.log(proj.mean_reported + 1.0) - z * 0.3) - 1.0, rtol=1e-6
         )
+        z = stats.norm.ppf(0.975)
+        log_mean = np.log(proj.mean_reported + 1.0)
+        np.testing.assert_allclose(proj.upper, np.exp(log_mean + z * 0.3) - 1.0, rtol=1e-12)
+        np.testing.assert_allclose(proj.lower, np.exp(log_mean - z * 0.3) - 1.0, rtol=1e-12)
 
     def test_stochastic_model_rejected(self):
         m = sir_model(stochastic=True)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from epipomp.grid import TimeGrid
+from epipomp.grid import weekly_grid
 from epipomp.haiti import builtin_scenario, default_curve, synthetic_geography
 from epipomp.haiti.model3 import build_model3
 from epipomp.model import simulate
@@ -121,7 +121,7 @@ def main() -> None:
     median_rain = float(np.median(rain))
     model = build_model3(INIT_OBS, geo, median_rainfall=median_rain)
     t0 = (N_INIT - 1) * WEEK
-    grid = TimeGrid(t0=t0, obs_times=t0 + np.arange(1, N_OBS + 1) * WEEK, euler_step=WEEK / 7.0)
+    grid = weekly_grid(N_OBS, t0)
     sim = simulate(model, model.params, grid, covs, n_sims=1, seed=SEED)
     cases = sim.observations[0]  # (N_OBS, U)
 

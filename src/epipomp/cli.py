@@ -50,14 +50,7 @@ from .model import PompModel, simulate
 from .optimize import trajectory_match
 from .params import ParameterSet, family_key
 from .series import CovariateTable, ObservationSeries, standardize_rainfall
-from .toys import (
-    hmm_model,
-    lgssm_model,
-    metapop_model,
-    pure_death_model,
-    sir_model,
-    toy_grid,
-)
+from .toys import hmm_model, lgssm_model, metapop_model, pure_death_model, sir_model
 from .units import WEEK
 
 DEFAULTS: dict = {
@@ -77,7 +70,7 @@ DEFAULTS: dict = {
         "hurricane_date": "2016-10-04",
         "phase_break_date": None,
     },
-    "grid": {"euler_days": 1.0, "toy_steps_per_week": 1},
+    "grid": {"steps_per_week": None},
     "params": {},
     "simulate": {"n_sims": 5, "horizon_weeks": 52},
     "filter": {"J": 500},
@@ -158,6 +151,10 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -196,18 +193,22 @@ _TAKES = {
 _SHAPES = {
     "model": (lambda value: value in MODELS, f"one of {list(MODELS)}"),
     "seed": (lambda value: _is_int(value) and value >= 0, "a nonnegative integer or null"),
+    "workers": (_is_count, "an integer >= 1"),
     "data.weeks": (lambda value: _list_of(_is_int)(value) and len(value) == 2,
                    "a list of two integers [start, stop] or null"),
     "data.hurricane_date": (lambda value: value is None or _is_date(value), "an ISO-8601 date or null"),
     "data.phase_break_date": (_is_date, "an ISO-8601 date or null"),
-    "grid.euler_days": (lambda value: _is_number(value) and value > 0, "a number > 0"),
-    "grid.toy_steps_per_week": (lambda value: _is_int(value) and value >= 1, "an integer >= 1"),
+    "grid.steps_per_week": (_is_count, "an integer >= 1 or null"),
+    "simulate.horizon_weeks": (_is_count, "an integer >= 1"),
     "fit.eval_particles": (_is_int, "an integer or null"),
     "blocks": (_list_of(_list_of(_is_str)), "a list of lists of unit names or null"),
     "fit_traj.free": (_list_of(_is_str), "a list of parameter names"),
     "profile.values": (lambda value: _list_of(_is_number)(value) or _is_linspace(value),
                        'a list of numbers or {"lo": number, "hi": number, "n": integer >= 1}'),
     "profile.method": (lambda value: value in ("if2", "traj"), "'if2' or 'traj'"),
+    "mcap.confidence": (lambda value: _is_number(value) and 0 < value < 1, "a number in (0, 1)"),
+    "mcap.span": (lambda value: _is_number(value) and 0 < value <= 1, "a number in (0, 1]"),
+    "forecast.horizon_weeks": (_is_count, "an integer >= 1"),
 }
 
 
@@ -339,6 +340,14 @@ def _subset_weeks(cfg: dict, data: ObservationSeries, grid: TimeGrid):
     return data.subset(a, b), sub_grid
 
 
+def _weekly_grid(cfg: dict, n_weeks: int, t0: float = 0.0) -> TimeGrid:
+    """``n_weeks`` weeks after ``t0`` in ``grid.steps_per_week`` steps a week; null is the
+    model's own: 7 for the Haiti models (time in years), 1 for the toys (time in weeks)."""
+    toy = cfg["model"].startswith("toy:")
+    steps = cfg["grid"]["steps_per_week"] or (1 if toy else 7)
+    return weekly_grid(n_weeks, t0, steps, 1.0 if toy else WEEK)
+
+
 def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | None = None) -> Bundle:
     """The model of a checked config (``check_config``) with its data, grid and
     covariates. The SHA-256 of every file read goes into ``inputs`` when it is given.
@@ -359,7 +368,6 @@ def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | Non
         expected_units=None if model_id == "model1" else geo.n_units,
     )
     start_date = io.parse_date(cases.dates[0])
-    euler_days = float(cfg["grid"]["euler_days"])
     covs = None
 
     if model_id == "model3":
@@ -377,7 +385,7 @@ def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | Non
             )
 
         data = cases.subset(init_weeks, cases.n_obs)
-        grid = weekly_grid(data.n_obs, (init_weeks - 1) * WEEK, euler_days)
+        grid = _weekly_grid(cfg, data.n_obs, (init_weeks - 1) * WEEK)
     elif model_id == "model2":
         init_cases = np.nan_to_num(cases.values[:, 0])
 
@@ -385,10 +393,10 @@ def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | Non
             return m2.build_model2(init_cases, geo, schedule=schedule)
 
         data = cases.subset(1, cases.n_obs)
-        grid = weekly_grid(data.n_obs, 0.0, euler_days)
+        grid = _weekly_grid(cfg, data.n_obs)
     else:
         data = cases.aggregate() if cases.n_units > 1 else cases
-        grid = weekly_grid(data.n_obs, 0.0, euler_days)
+        grid = _weekly_grid(cfg, data.n_obs)
         # the trend is anchored on the whole series, before any weeks subset
         trend_window = (grid.t0, grid.t_end)
         pop = float(np.sum(geo.populations))
@@ -426,7 +434,7 @@ def _build_toy_bundle(cfg: dict, model_id: str, inputs: dict, need_data: bool) -
         raise ConfigError(f"data.weeks selects weeks of a cases file, and {model_id} has none")
     else:
         n_obs = int(cfg["simulate"]["horizon_weeks"])
-    grid = toy_grid(n_obs, euler_step=1.0 / cfg["grid"]["toy_steps_per_week"])
+    grid = _weekly_grid(cfg, n_obs)
     if data is not None:
         data, grid = _subset_weeks(cfg, data, grid)
     params = _apply_param_overrides(model.params, cfg["params"])
@@ -734,15 +742,8 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
     scenario_id = str(fc["scenario"])
     horizon = int(fc["horizon_weeks"])
     origin = bundle.grid.t_end
-    toy = bundle.model_id.startswith("toy:")
-    week = 1.0 if toy else WEEK
-
-    def horizon_grid(t0: float, n: int) -> TimeGrid:
-        # n weeks after t0, stepped as the filter was
-        return TimeGrid(t0, t0 + np.arange(1, n + 1) * week, bundle.grid.euler_step)
-
     schedule = None
-    if toy:
+    if bundle.model_id.startswith("toy:"):
         if scenario_id != "V0":
             raise ConfigError(f"toy models have no vaccination: forecast.scenario must be V0, not {scenario_id!r}")
         if cfg["data"]["scenario_file"]:
@@ -759,7 +760,7 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
 
     if bundle.model_id == "model2":
         proj = trajectory_projection(
-            model_fc, bundle.params, bundle.covs, horizon_grid(0.0, round(origin / WEEK) + horizon)
+            model_fc, bundle.params, bundle.covs, _weekly_grid(cfg, round(origin / WEEK) + horizon)
         )
         keep = proj.times > origin + 1e-12
         io.write_table(
@@ -790,7 +791,7 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
         _load_candidates(fc["candidates"], bundle.params, inputs) if fc.get("candidates") else None
     )
     res = forecast_from_filter(
-        model_fc, bundle.params, sample, bundle.covs, horizon_grid(origin, horizon),
+        model_fc, bundle.params, sample, bundle.covs, _weekly_grid(cfg, horizon, origin),
         int(fc["n_sims"]), seed=seed + 1, window=window, param_candidates=candidates,
     )
     summary = _write_forecast(out, res, bundle, scenario_id)

@@ -1,9 +1,9 @@
 """Observation time grids.
 
-Times are plain floats in the model's time unit (years for the built-in
-cholera models, anything consistent for toys). The grid fixes the process
-integration step; intervals between observations are covered by equal Euler
-substeps no longer than ``euler_step``.
+Times are plain floats in the model's time unit: years for the built-in
+cholera models, weeks for the toys. The grid fixes the process integration
+step; intervals between observations are covered by equal Euler substeps no
+longer than ``euler_step``. ``weekly_grid`` builds every weekly grid.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .units import DAY, WEEK
+from .units import WEEK
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,11 @@ class TimeGrid:
             prev = float(t)
 
 
-def weekly_grid(n_weeks: int, t0: float = 0.0, euler_days: float = 1.0) -> TimeGrid:
-    """Weekly grid: observations at t0 + k*WEEK for k = 1..n_weeks, Euler
-    step of ``euler_days`` days (default one day)."""
-    if n_weeks < 1:
-        raise ValidationError("n_weeks must be >= 1")
+def weekly_grid(n_weeks: int, t0: float = 0.0, steps_per_week: int = 7, week: float = WEEK) -> TimeGrid:
+    """Weekly grid: observations at t0 + k*week for k = 1..n_weeks, Euler
+    step of ``week / steps_per_week`` (default one day of a ``WEEK`` in years;
+    the toys pass ``week=1.0``)."""
+    if n_weeks < 1 or steps_per_week < 1:
+        raise ValidationError("n_weeks and steps_per_week must be >= 1")
     ks = np.arange(1, 1 + n_weeks)
-    return TimeGrid(t0=t0, obs_times=t0 + ks * WEEK, euler_step=euler_days * DAY)
+    return TimeGrid(t0=t0, obs_times=t0 + ks * week, euler_step=week / steps_per_week)

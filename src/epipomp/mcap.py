@@ -97,6 +97,8 @@ def mcap_ci(
     endpoint on that side. The curve is smoothed on 1000 evenly spaced
     values spanning the profile.
     """
+    if not (0.0 < confidence < 1.0 and 0.0 < span <= 1.0):
+        raise ValidationError(f"confidence must be in (0, 1) and span in (0, 1], got {confidence} and {span}")
     values = np.asarray(values, dtype=float)
     logliks = np.asarray(logliks, dtype=float)
     keep = np.isfinite(logliks) & np.isfinite(values)
@@ -111,8 +113,7 @@ def mcap_ci(
 
     # local quadratic fit around the smoothed maximizer, tricube-weighted
     dist = np.abs(values - mle)
-    q = max(4, int(np.floor(span * values.size)))
-    q = min(q, values.size)
+    q = max(4, int(np.floor(span * values.size)))  # <= values.size: span <= 1, >= 5 values
     cut = np.sort(dist)[q - 1]
     w = tricube(dist / cut) if cut > 0 else np.ones_like(dist)
     keep = w > 0

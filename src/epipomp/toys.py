@@ -15,15 +15,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .euler import euler_multinomial, gamma_increment, rk4_step
-from .grid import TimeGrid
 from .measures import nb_logpmf, nb_sample, norm_logpdf
 from .model import PompModel
 from .params import ParamDef, ParameterSet, family_key
-
-
-def toy_grid(n_obs: int, euler_step: float = 1.0) -> TimeGrid:
-    """Weekly toy grid: observations at t = 1..n_obs."""
-    return TimeGrid(t0=0.0, obs_times=np.arange(1, n_obs + 1, dtype=float), euler_step=euler_step)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +192,8 @@ def hmm_model(
 ) -> PompModel:
     """Finite HMM; one latent jump per observation interval.
 
-    Use with ``toy_grid(n, euler_step=1.0)`` so each interval is a single
-    step. ``emission[x, y]`` are the categorical observation probabilities.
+    Use with ``weekly_grid(n, week=1.0, steps_per_week=1)`` so each interval
+    is a single step. ``emission[x, y]`` are the categorical observation probabilities.
     """
     transition = np.asarray(transition if transition is not None else [[0.9, 0.1], [0.2, 0.8]])
     emission = np.asarray(emission if emission is not None else [[0.8, 0.15, 0.05], [0.1, 0.3, 0.6]])

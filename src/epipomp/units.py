@@ -12,9 +12,6 @@ DAYS_PER_YEAR = 365.25
 #: Length of one reporting week, in years.
 WEEK = 1.0 / WEEKS_PER_YEAR
 
-#: Default Euler step: one day of the 52.14-week year (= WEEK / 7).
-DAY = WEEK / 7.0
-
 
 def per_day(rate: float) -> float:
     """Convert a rate expressed per day to per year."""

@@ -8,6 +8,7 @@
   of model3 and model2 states, for the population-conservation checks.
 - :func:`save_cases` writes a case series in the format ``io.load_cases``
   reads.
+- :func:`toy_grid` is the toys' weekly grid, in their time unit of weeks.
 """
 
 import csv
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from epipomp.errors import DataFormatError
+from epipomp.grid import TimeGrid, weekly_grid
 from epipomp.haiti.geography import GeographyData
 from epipomp.series import ObservationSeries
 
@@ -81,3 +83,8 @@ def save_cases(series: ObservationSeries, path: str | Path) -> None:
             for u, dep in enumerate(series.units):
                 v = series.values[u, n]
                 w.writerow([d, dep, "NA" if np.isnan(v) else int(v)])
+
+
+def toy_grid(n_obs: int, steps_per_week: int = 1) -> TimeGrid:
+    """Observations at t = 1..n_obs weeks, stepped ``steps_per_week`` times a week."""
+    return weekly_grid(n_obs, week=1.0, steps_per_week=steps_per_week)

@@ -11,13 +11,13 @@ from pathlib import Path
 
 import numpy as np
 from conftest import mc_se_mean, se_proportion
-from oracles import hmm_forward_loglik, kalman_loglik, person_counts, person_total
+from oracles import hmm_forward_loglik, kalman_loglik, person_counts, person_total, toy_grid
 
 from epipomp.benchmark import aic, ar_nb_loglik, fit_benchmark
 from epipomp.cli import main
 from epipomp.filtering import particle_filter
 from epipomp.forecast import elimination_probability, forecast_from_filter, longest_zero_run
-from epipomp.grid import TimeGrid
+from epipomp.grid import weekly_grid
 from epipomp.haiti.geography import synthetic_geography
 from epipomp.haiti.model1 import seasonal_beta
 from epipomp.haiti.model2 import build_model2
@@ -33,7 +33,6 @@ from epipomp.toys import (
     lgssm_model,
     metapop_model,
     sir_model,
-    toy_grid,
 )
 from epipomp.units import WEEK
 
@@ -152,10 +151,10 @@ def test_criterion_05_ode_stochastic_agreement():
         {"beta": 1.5, "gamma": 1.0, "waning": 1e-9, "i0": i0, "sigma_proc": 1e-12}
     )
     m_det = sir_model(pop=pop, stochastic=False)
-    g_det = toy_grid(40, euler_step=1.0 / 56)
+    g_det = toy_grid(40, steps_per_week=56)
     i_col = m_det.state_names.index("I")
     I_det = simulate(m_det, params, g_det, n_sims=1, seed=0).states[0, :, i_col]
-    g = toy_grid(40, euler_step=1.0 / 336)
+    g = toy_grid(40, steps_per_week=336)
     res = simulate(m_stoch, params, g, n_sims=100, seed=2)
     I_mean = res.states[:, :, res.state_names.index("I")].mean(axis=0)
     err = float(np.max(np.abs(I_mean - I_det)) / np.max(I_det))
@@ -178,7 +177,7 @@ def test_criterion_06_conservation():
     covs = CovariateTable(times=times, step=WEEK, rainfall=rain, units=tuple(depts))
     m3 = build_model3(cases.values[:, :4], geo, median_rainfall=float(np.median(rain)))
     t0 = 3 * WEEK
-    grid = TimeGrid(t0, t0 + np.arange(1, 401) * WEEK, euler_step=WEEK / 7)
+    grid = weekly_grid(400, t0)
     res = simulate(m3, m3.params, grid, covs, n_sims=1, seed=606)
     pops = np.round(geo.populations)
     exact = all(
@@ -186,7 +185,7 @@ def test_criterion_06_conservation():
         for n in range(res.states.shape[1])
     )
     m2 = build_model2(np.nan_to_num(cases.values[:, 0]), geo)
-    grid2 = TimeGrid(0.0, np.arange(1, 105) * WEEK, euler_step=WEEK / 7)
+    grid2 = weekly_grid(104)
     res2 = simulate(m2, m2.params, grid2, n_sims=1, seed=0)
     pt = person_total(res2.states[0], geo)
     rel = float(np.max(np.abs(pt - pt[0])) / pt[0])
@@ -364,7 +363,7 @@ def test_criterion_12_elimination_predicate():
     pf = particle_filter(m, m.params, data, g, J=30, seed=0)
     res = forecast_from_filter(
         m, m.params.replace({"beta": 1e-12}), pf.filter_sample, None,
-        TimeGrid(g.t_end, g.t_end + np.arange(1, 61), 1.0), n_sims=25, seed=5,
+        weekly_grid(60, g.t_end, week=1.0), n_sims=25, seed=5,
     )
     record(
         12,

@@ -9,18 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import save_cases
+from oracles import save_cases, toy_grid
 
 from epipomp import io
 from epipomp.cli import DEFAULTS, build_bundle, bundled_path, deep_merge, main, parse_set
 from epipomp.forecast import forecast_from_filter, trajectory_projection
-from epipomp.grid import TimeGrid
+from epipomp.grid import weekly_grid
 from epipomp.haiti import apply_vaccination_scenario, builtin_scenario
 from epipomp.model import simulate
 from epipomp.filtering import particle_filter
 from epipomp.series import ObservationSeries
-from epipomp.toys import hmm_model, sir_model, toy_grid
-from epipomp.units import WEEK
+from epipomp.toys import hmm_model, sir_model
 
 
 def run(*argv) -> int:
@@ -120,7 +119,7 @@ class TestForecastSimulatesTheFilteredModel:
         origin = bundle.grid.t_end
         res = forecast_from_filter(
             bundle.model, bundle.params, pf.filter_sample, bundle.covs,
-            TimeGrid(origin, origin + np.arange(1, horizon + 1) * WEEK, bundle.grid.euler_step),
+            weekly_grid(horizon, origin),
             n_sims, seed=seed + 1, window=52,
         )
         true_inf, reported = res.true_infections.sum(axis=2), res.reported.sum(axis=2)
@@ -137,7 +136,7 @@ class TestForecastSimulatesTheFilteredModel:
         horizon = 52
         sets = [
             "model=model2", "forecast.scenario=V1", f"data.weeks={WEEKS}",
-            f"forecast.horizon_weeks={horizon}", "grid.euler_days=0.5",
+            f"forecast.horizon_weeks={horizon}", "grid.steps_per_week=14",
         ]
         assert self.run_sets("forecast", 1, tmp_path, sets) == 0
 
@@ -151,10 +150,9 @@ class TestForecastSimulatesTheFilteredModel:
         fitted_weeks = bundle.data.n_obs
         projections = [
             trajectory_projection(
-                model, bundle.params, None,
-                TimeGrid(0.0, np.arange(1, fitted_weeks + horizon + 1) * WEEK, step),
+                model, bundle.params, None, weekly_grid(fitted_weeks + horizon, steps_per_week=steps)
             )
-            for step in (bundle.grid.euler_step, 2.0 * bundle.grid.euler_step)
+            for steps in (14, 7)
         ]
         half_day, one_day = [
             [
@@ -266,7 +264,7 @@ class TestForecastDeterminism:
         g = toy_grid(15)
         data = simulate(m, m.params, g, n_sims=1, seed=6).observation_series(0)
         pf = particle_filter(m, m.params, data, g, J=50, seed=1)
-        kwargs = dict(covs=None, grid=TimeGrid(g.t_end, g.t_end + np.arange(1, 71), 1.0), n_sims=40)
+        kwargs = dict(covs=None, grid=weekly_grid(70, g.t_end, week=1.0), n_sims=40)
         a = forecast_from_filter(m, m.params, pf.filter_sample, seed=9, **kwargs)
         b = forecast_from_filter(m, m.params, pf.filter_sample, seed=9, **kwargs)
         assert a.probability == b.probability

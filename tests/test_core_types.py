@@ -90,13 +90,33 @@ class TestTimeGrid:
         n, h = g.substeps(1.0, 2.0)
         assert n == 4 and n * h == pytest.approx(1.0)
 
-    def test_weekly_grid_one_day_default(self):
-        g = weekly_grid(10)
-        assert g.n_obs == 10
-        assert g.obs_times[0] == pytest.approx(WEEK)
-        assert g.euler_step == pytest.approx(WEEK / 7.0)
+    # bit for bit the grids the seeded goldens and workloads were made with:
+    # the Haiti models stepped days of WEEK / 7, the toys 1 / k of their week
+    @pytest.mark.parametrize(
+        "kwargs, steps, old_obs_times, old_step",
+        [
+            ({}, 7, np.arange(1, 11) * WEEK, 1.0 * (WEEK / 7.0)),
+            ({"steps_per_week": 14}, 14, np.arange(1, 11) * WEEK, 0.5 * (WEEK / 7.0)),
+            ({"steps_per_week": 28}, 28, np.arange(1, 11) * WEEK, 0.25 * (WEEK / 7.0)),
+            ({"week": 1.0, "steps_per_week": 1}, 1, np.arange(1, 11, dtype=float), 1.0),
+            ({"week": 1.0, "steps_per_week": 2}, 2, np.arange(1, 11, dtype=float), 1 / 2),
+            ({"week": 1.0, "steps_per_week": 4}, 4, np.arange(1, 11, dtype=float), 1 / 4),
+            ({"week": 1.0, "steps_per_week": 56}, 56, np.arange(1, 11, dtype=float), 1 / 56),
+            ({"week": 1.0, "steps_per_week": 336}, 336, np.arange(1, 11, dtype=float), 1 / 336),
+        ],
+    )
+    def test_weekly_grid_one_day_default(self, kwargs, steps, old_obs_times, old_step):
+        g = weekly_grid(10, **kwargs)
+        assert g.t0 == 0.0 and g.n_obs == 10
+        assert np.array_equal(g.obs_times, old_obs_times)  # bit for bit
+        assert g.euler_step == old_step
         n, _ = g.substeps(g.t0, g.obs_times[0])
-        assert n == 7
+        assert n == steps
+
+    @pytest.mark.parametrize("n_weeks, steps_per_week", [(0, 7), (10, 0)])
+    def test_weekly_grid_needs_a_week_and_a_step(self, n_weeks, steps_per_week):
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            weekly_grid(n_weeks, steps_per_week=steps_per_week)
 
 
 class TestObservationSeries:

@@ -10,7 +10,7 @@ import pytest
 from conftest import mc_se_mean, se_proportion
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import hmm_forward_loglik, kalman_loglik
+from oracles import hmm_forward_loglik, kalman_loglik, toy_grid
 
 from epipomp import filtering, iterfilter
 from epipomp.errors import ValidationError
@@ -36,7 +36,6 @@ from epipomp.toys import (
     metapop_model,
     pure_death_model,
     sir_model,
-    toy_grid,
 )
 from epipomp.units import WEEK
 
@@ -89,7 +88,7 @@ class TestAgainstKalman:
 class TestStructure:
     def test_deterministic_model_loglik_independent_of_J_and_seed(self):
         m = pure_death_model(stochastic=False)
-        g = toy_grid(12, euler_step=0.25)
+        g = toy_grid(12, steps_per_week=4)
         data = simulate(m, m.params, g, n_sims=1, seed=3).observation_series(0)
         lls = {
             particle_filter(m, m.params, data, g, J=j, seed=s).loglik

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from oracles import toy_grid
 from conftest import se_proportion
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epipomp.errors import ValidationError
 from epipomp.filtering import particle_filter
-from epipomp.grid import TimeGrid, weekly_grid
+from epipomp.grid import weekly_grid
 from epipomp.forecast import (
     elimination_probability,
     forecast_from_filter,
@@ -17,7 +18,7 @@ from epipomp.forecast import (
 )
 from epipomp.model import simulate
 from epipomp.params import family_key
-from epipomp.toys import metapop_model, pure_death_model, sir_model, toy_grid
+from epipomp.toys import metapop_model, pure_death_model, sir_model
 
 
 def brute_force_eliminates(x: np.ndarray, window: int) -> bool:
@@ -81,7 +82,7 @@ class TestForecastFromFilter:
     def test_identical_particles_deterministic_model_identical_trajectories(self):
         m = pure_death_model(stochastic=False)
         params = m.params.replace({"i0": 50})
-        res = simulate(m, params, toy_grid(60, euler_step=0.5), n_sims=6, seed=1)
+        res = simulate(m, params, toy_grid(60, steps_per_week=2), n_sims=6, seed=1)
         for s in range(1, 6):
             np.testing.assert_array_equal(res.states[s], res.states[0])
         infected = res.states[0, 1:, m.state_names.index("I")]
@@ -94,7 +95,7 @@ class TestForecastFromFilter:
         data = simulate(m, m.params, g, n_sims=1, seed=3).observation_series(0)
         pf = particle_filter(m, m.params, data, g, J=30, seed=0)
         res = forecast_from_filter(
-            m, params, pf.filter_sample, None, TimeGrid(g.t_end, g.t_end + np.arange(1, 61), 1.0),
+            m, params, pf.filter_sample, None, weekly_grid(60, g.t_end, week=1.0),
             n_sims=20, seed=5,
         )
         assert res.probability == 1.0
@@ -117,7 +118,7 @@ class TestForecastFromFilter:
         a = m.params.replace({family_key("beta", "north"): 2.6})
         b = m.params.replace({family_key("beta", "south"): 0.4})
         sample = simulate(m, m.params, toy_grid(6), n_sims=20, seed=4).states[:, -1]
-        kwargs = dict(covs=None, grid=TimeGrid(6.0, 6.0 + np.arange(1, 61), 1.0), n_sims=12, seed=8)
+        kwargs = dict(covs=None, grid=weekly_grid(60, 6.0, week=1.0), n_sims=12, seed=8)
         weighted = forecast_from_filter(
             m, m.params, sample, param_candidates=[(a, 0.0), (b, -1e6)], **kwargs
         )
@@ -161,7 +162,7 @@ class TestTrajectoryProjection:
         params = m.params.replace({"psi": 1e-12})
         # the sir toy uses an NB measurement; the band formula is log-normal,
         # exercised through the projection surface
-        proj = trajectory_projection(m, params, None, toy_grid(30, euler_step=0.5))
+        proj = trajectory_projection(m, params, None, toy_grid(30, steps_per_week=2))
         np.testing.assert_allclose(proj.lower, proj.mean_reported, atol=1e-6)
         np.testing.assert_allclose(proj.upper, proj.mean_reported, atol=1e-6)
 
@@ -170,7 +171,7 @@ class TestTrajectoryProjection:
 
         m = sir_model(stochastic=False)
         params = m.params.replace({"psi": 0.3})
-        proj = trajectory_projection(m, params, None, toy_grid(20, euler_step=0.5))
+        proj = trajectory_projection(m, params, None, toy_grid(20, steps_per_week=2))
         z = 1.959964
         np.testing.assert_allclose(
             proj.upper, np.exp(np.log(proj.mean_reported + 1.0) + z * 0.3) - 1.0, rtol=1e-6

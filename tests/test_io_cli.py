@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import save_cases
+from oracles import save_cases, toy_grid
 
 from epipomp import io
 from epipomp.benchmark import fit_benchmark
@@ -132,7 +132,7 @@ class TestConfigPrecedence:
 def toy_cases(tmp_path):
     """A small simulated toy-SIR series written as a cases CSV."""
     from epipomp.model import simulate
-    from epipomp.toys import sir_model, toy_grid
+    from epipomp.toys import sir_model
 
     m = sir_model()
     res = simulate(m, m.params, toy_grid(25), n_sims=1, seed=44)
@@ -161,6 +161,19 @@ class TestCliPipeline:
         b = (tmp_path / "s2" / "simulations.csv").read_bytes()
         assert a == b
 
+    def test_toy_simulation_honours_steps_per_week(self, tmp_path):
+        tables = {}
+        for steps in ("null", "1", "4"):
+            out = tmp_path / steps
+            code = self.run(
+                "simulate", "--seed", "1", "--out", str(out), "--set", "model=toy:sir",
+                "--set", "simulate.horizon_weeks=20", "--set", f"grid.steps_per_week={steps}",
+            )
+            assert code == 0
+            tables[steps] = (out / "simulations.csv").read_bytes()
+        assert tables["null"] == tables["1"]  # a toy's own step is one week
+        assert tables["4"] != tables["1"]
+
     def test_seed_mandatory_for_stochastic_commands(self, tmp_path):
         code = self.run("simulate", "--out", str(tmp_path / "x"), "--set", "model=toy:sir")
         assert code == 2
@@ -170,7 +183,7 @@ class TestCliPipeline:
     def test_filter_single_particle_matches_direct_summation(self, tmp_path, toy_cases):
         from epipomp.io import load_cases
         from epipomp.optimize import deterministic_loglik
-        from epipomp.toys import sir_model, toy_grid
+        from epipomp.toys import sir_model
 
         code = self.run(
             "filter", "--seed", "1", "--out", str(tmp_path / "f"),
@@ -415,7 +428,7 @@ class TestConfigFaults:
             ("filter.J=abc", "filter.J must be an integer, got 'abc'"),
             ("filter.J=true", "filter.J must be an integer, got True"),
             ("filter.J=10.5", "filter.J must be an integer, got 10.5"),
-            ("grid.euler_days=fast", "grid.euler_days must be a number"),
+            ("grid.steps_per_week=fast", "grid.steps_per_week must be an integer >= 1 or null"),
             ("benchmark.per_unit=1", "benchmark.per_unit must be true or false"),
             ("forecast.scenario=4", "forecast.scenario must be a string or null"),
             ("filter=10", "filter must be a table of settings"),
@@ -455,6 +468,15 @@ class TestConfigFaults:
             ("filter", "model=null", "model"),
             ("filter", "model.name=toy:sir", "model"),
             ("profile", "profile.method=mle", "profile.method"),
+            ("simulate", "simulate.horizon_weeks=0", "simulate.horizon_weeks"),
+            ("forecast", "forecast.horizon_weeks=0", "forecast.horizon_weeks"),
+            ("forecast", "forecast.horizon_weeks=-30", "forecast.horizon_weeks"),
+            ("mcap", "mcap.confidence=1.5", "mcap.confidence"),
+            ("mcap", "mcap.confidence=0", "mcap.confidence"),
+            ("mcap", "mcap.span=0", "mcap.span"),
+            ("mcap", "mcap.span=-1", "mcap.span"),
+            ("profile", "workers=0", "workers"),
+            ("profile", "workers=-3", "workers"),
         ],
     )
     def test_value_the_setting_does_not_take_exits_2_naming_it(
@@ -502,11 +524,11 @@ class TestConfigFaults:
     @pytest.mark.parametrize(
         "command, model, setting, key",
         [
-            ("simulate", "toy:sir", "grid.euler_days=-3", "grid.euler_days"),
-            ("filter", "toy:sir", "grid.euler_days=0", "grid.euler_days"),
-            ("filter", "model1", "grid.euler_days=0", "grid.euler_days"),
-            ("filter", "model1", "grid.toy_steps_per_week=0", "grid.toy_steps_per_week"),
-            ("forecast", "model3", "grid.toy_steps_per_week=-2", "grid.toy_steps_per_week"),
+            ("simulate", "toy:sir", "grid.steps_per_week=-2", "grid.steps_per_week"),
+            ("filter", "toy:sir", "grid.steps_per_week=0", "grid.steps_per_week"),
+            ("filter", "model1", "grid.steps_per_week=0", "grid.steps_per_week"),
+            ("filter", "model1", "grid.steps_per_week=1.5", "grid.steps_per_week"),
+            ("forecast", "model3", "grid.steps_per_week=-2", "grid.steps_per_week"),
         ],
     )
     def test_grid_step_out_of_range_exits_2_naming_it_for_every_model(
@@ -531,9 +553,10 @@ class TestConfigFaults:
         assert set(_SHAPES) <= set(leaves(DEFAULTS))
 
     def test_float_setting_takes_an_integer_and_null_turns_a_string_off(self):
-        args = TestConfigPrecedence()._args(set=["grid.euler_days=1", "data.hurricane_date=null"])
+        args = TestConfigPrecedence()._args(set=["mcap.span=1", "data.hurricane_date=null"])
         cfg = resolve_config(args)
-        assert cfg["grid"]["euler_days"] == 1
+        check_config(cfg)
+        assert cfg["mcap"]["span"] == 1
         assert cfg["data"]["hurricane_date"] is None
 
     def test_non_numeric_parameter_override_exits_2_naming_it(self, tmp_path, toy_cases):
@@ -541,10 +564,10 @@ class TestConfigFaults:
         summary = json.loads((tmp_path / "f" / "summary.json").read_text())
         assert "params.beta='x'" in summary["error"]
 
-    def test_toy_steps_per_week_below_one_exits_2(self, tmp_path, toy_cases):
-        assert self.run(tmp_path, toy_cases, "grid.toy_steps_per_week=0") == 2
+    def test_steps_per_week_below_one_exits_2(self, tmp_path, toy_cases):
+        assert self.run(tmp_path, toy_cases, "grid.steps_per_week=0") == 2
         summary = json.loads((tmp_path / "f" / "summary.json").read_text())
-        assert "grid.toy_steps_per_week" in summary["error"]
+        assert "grid.steps_per_week" in summary["error"]
 
     @pytest.mark.parametrize(
         "command, setting, key",

@@ -4,6 +4,7 @@ parameter recovery on self-simulated data."""
 
 import numpy as np
 import pytest
+from oracles import toy_grid
 from conftest import mc_se_mean
 
 from epipomp import filtering
@@ -21,7 +22,7 @@ from epipomp.iterfilter import (
 from epipomp.model import compile_theta, simulate
 from epipomp.params import split_key
 from epipomp.series import ObservationSeries
-from epipomp.toys import lgssm_model, metapop_model, sir_model, toy_grid
+from epipomp.toys import lgssm_model, metapop_model, sir_model
 
 
 @pytest.fixture(scope="module")

@@ -72,6 +72,15 @@ class TestMcapCi:
         with pytest.raises(ValidationError):
             mcap_ci(np.array([1, 1, 2, 2]), np.array([0.0, 0.1, -0.2, -0.1]))
 
+    @pytest.mark.parametrize(
+        "confidence, span",
+        [(0.0, 0.75), (1.0, 0.75), (1.5, 0.75), (-0.5, 0.75), (0.95, 0.0), (0.95, -1.0), (0.95, 1.5)],
+    )
+    def test_confidence_or_span_outside_its_domain_is_refused(self, confidence, span):
+        x = np.linspace(-1, 1, 21)
+        with pytest.raises(ValidationError, match=r"confidence must be in \(0, 1\) and span in \(0, 1\]"):
+            mcap_ci(x, -(x**2), confidence=confidence, span=span)
+
     def test_boundary_maximum_flags_open_endpoint(self):
         # concave profile whose maximizer lies beyond the right grid edge
         x = np.linspace(0, 1, 21)

@@ -7,7 +7,7 @@ from conftest import mc_se_mean
 from oracles import person_total
 
 from epipomp.errors import ValidationError
-from epipomp.grid import TimeGrid
+from epipomp.grid import weekly_grid
 from epipomp.haiti.geography import GeographyData, synthetic_geography
 from epipomp.haiti.model2 import (
     COHORT_EFFICACY,
@@ -63,7 +63,7 @@ class TestGravity:
         geo = GeographyData(("solo",), np.array([5e5]), np.array([200.0]),
                             np.zeros((1, 1)), np.zeros((1, 1)))
         m = build_model2(np.array([50.0]), geo)
-        grid = TimeGrid(0.0, np.arange(1, 27) * WEEK, WEEK / 7)
+        grid = weekly_grid(26)
         res = simulate(m, m.params, grid, n_sims=1, seed=0)
         # a closed SEIAR+W system conserves its person total exactly
         pt = person_total(res.states[0], geo)
@@ -89,7 +89,7 @@ class TestSkeletonProperties:
     def test_no_transmission_keeps_infected_monotone_nonincreasing(self, geo):
         m = build_model2(np.array([100, 20, 0, 0, 30, 5, 15, 200, 10, 8], float), geo)
         params = m.params.replace({"beta": 1e-30, "beta_w": 1e-30})
-        grid = TimeGrid(0.0, np.arange(1, 53) * WEEK, WEEK / 7)
+        grid = weekly_grid(52)
         res = simulate(m, params, grid, n_sims=1, seed=0)
         infected = np.zeros(res.states.shape[1])
         for u in geo.units:
@@ -100,7 +100,7 @@ class TestSkeletonProperties:
 
     def test_national_person_total_conserved(self, geo):
         m = build_model2(np.array([100, 20, 0, 0, 30, 5, 15, 200, 10, 8], float), geo)
-        grid = TimeGrid(0.0, np.arange(1, 105) * WEEK, WEEK / 7)
+        grid = weekly_grid(104)
         res = simulate(m, m.params, grid, n_sims=1, seed=0)
         pt = person_total(res.states[0], geo)
         assert np.max(np.abs(pt - pt[0])) / pt[0] < 1e-8

@@ -11,7 +11,7 @@ from oracles import person_counts
 
 from epipomp.errors import ValidationError
 from epipomp.filtering import particle_filter
-from epipomp.grid import TimeGrid
+from epipomp.grid import weekly_grid
 from epipomp.haiti.geography import synthetic_geography
 from epipomp.haiti.model3 import (
     build_model3,
@@ -118,7 +118,7 @@ class TestRates:
             units=tuple(geo.units[i] for i in order), hurricane_time=covs.hurricane_time,
         )
         t0 = 3 * WEEK
-        grid = TimeGrid(t0, t0 + np.arange(1, 3) * WEEK, euler_step=WEEK / 7)
+        grid = weekly_grid(2, t0)
         message = rf"rainfall units \['{geo.units[-1]}'.*\] differ .* units \['{geo.units[0]}'"
         with pytest.raises(ValidationError, match=message):
             simulate(m, m.params, grid, reordered, n_sims=1, seed=0)
@@ -223,7 +223,7 @@ class TestStochasticity:
         m = build_model3(INIT_OBS, geo)
         params = m.params.replace({"sigma_proc": 1e-12})
         t0 = 3 * WEEK
-        grid = TimeGrid(t0, t0 + np.arange(1, 11) * WEEK, euler_step=WEEK / 7)
+        grid = weekly_grid(10, t0)
         res = simulate(m, params, grid, covs, n_sims=2, seed=17)
         assert not np.array_equal(res.states[0], res.states[1])
 
@@ -232,7 +232,7 @@ class TestConservation:
     def test_person_totals_constant_over_simulation(self, geo, covs):
         m = build_model3(INIT_OBS, geo)
         t0 = 3 * WEEK
-        grid = TimeGrid(t0, t0 + np.arange(1, 41) * WEEK, euler_step=WEEK / 7)
+        grid = weekly_grid(40, t0)
         res = simulate(m, m.params, grid, covs, n_sims=2, seed=12)
         for n in range(res.states.shape[1]):
             counts = person_counts(res.states[:, n, :], geo.n_units)
@@ -247,7 +247,7 @@ class TestConservation:
         sched = apply_vaccination_scenario(builtin_scenario("V4", geo), "model3", geo, origin=origin)
         assert sched.n_cohorts > 0
         m = build_model3(INIT_OBS, geo, schedule=sched)
-        grid = TimeGrid(origin, origin + np.arange(1, 105) * WEEK, euler_step=WEEK / 7)
+        grid = weekly_grid(104, origin)
         res = simulate(m, m.params, grid, covs, n_sims=4, seed=3)
         pops = np.tile(np.round(geo.populations), (4, 1))
         for h in range(105):

@@ -11,8 +11,9 @@ model whose (J, 1) parameters meet (J,) state columns and broadcast to
 
 import numpy as np
 import pytest
+from oracles import toy_grid
 
-from epipomp.grid import TimeGrid
+from epipomp.grid import weekly_grid
 from epipomp.haiti.geography import synthetic_geography
 from epipomp.haiti.model1 import build_model1
 from epipomp.haiti.model2 import build_model2
@@ -27,7 +28,6 @@ from epipomp.toys import (
     metapop_model,
     pure_death_model,
     sir_model,
-    toy_grid,
 )
 from epipomp.units import WEEK
 
@@ -36,7 +36,7 @@ N_WEEKS = 3
 
 
 def _haiti_grid():
-    return TimeGrid(t0=0.0, obs_times=np.arange(1, N_WEEKS + 1) * WEEK, euler_step=WEEK / 7.0)
+    return weekly_grid(N_WEEKS)
 
 
 def _build(name):
@@ -53,7 +53,7 @@ def _build(name):
         "toy:lgssm": lambda: lgssm_model(),
     }
     if name in toys:
-        return toys[name](), toy_grid(N_WEEKS, euler_step=0.5), None
+        return toys[name](), toy_grid(N_WEEKS, steps_per_week=2), None
     schedule = apply_vaccination_scenario(builtin_scenario("V4", geo), name, geo, origin=0.0)
     if name == "model1":
         return build_model1(trend_window=(0.0, 2.0), schedule=schedule), _haiti_grid(), None

@@ -3,13 +3,14 @@ covariate coverage, and the pure-death closed-form oracle."""
 
 import numpy as np
 import pytest
+from oracles import toy_grid
 
 from epipomp.errors import CoverageError, ValidationError
 from epipomp.grid import TimeGrid
 from epipomp.model import compile_theta, simulate
 from epipomp.params import ParamDef, ParameterSet
 from epipomp.series import CovariateTable
-from epipomp.toys import pure_death_model, sir_model, toy_grid
+from epipomp.toys import pure_death_model, sir_model
 
 
 def _rebuilt(params, drop=None, add=None):
@@ -23,7 +24,7 @@ def _rebuilt(params, drop=None, add=None):
 class TestSimulate:
     def test_bit_identical_under_equal_seeds(self):
         m = sir_model()
-        g = toy_grid(20, euler_step=0.5)
+        g = toy_grid(20, steps_per_week=2)
         a = simulate(m, m.params, g, n_sims=4, seed=123)
         b = simulate(m, m.params, g, n_sims=4, seed=123)
         assert np.array_equal(a.states, b.states)

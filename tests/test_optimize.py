@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import toy_grid
 
 from epipomp.errors import ValidationError
 from epipomp.grid import weekly_grid
@@ -12,7 +13,7 @@ from epipomp.haiti.model2 import build_model2
 from epipomp.model import compile_theta, simulate
 from epipomp.optimize import deterministic_loglik, restarted_nelder_mead, trajectory_match
 from epipomp.series import ObservationSeries
-from epipomp.toys import pure_death_model, sir_model, toy_grid
+from epipomp.toys import pure_death_model, sir_model
 
 
 class TestRestartedNelderMead:
@@ -37,7 +38,7 @@ class TestTrajectoryMatch:
     def det_setup(self):
         m = sir_model(stochastic=False)
         truth = m.params.replace({"beta": 1.6, "sigma_proc": 1e-9})
-        g = toy_grid(30, euler_step=0.25)
+        g = toy_grid(30, steps_per_week=4)
         data = simulate(m, truth, g, n_sims=1, seed=10).observation_series(0)
         return m, truth, g, data
 
@@ -76,7 +77,7 @@ class TestDeterministicLoglik:
         from epipomp.filtering import particle_filter
 
         m = pure_death_model(stochastic=False)
-        g = toy_grid(15, euler_step=0.5)
+        g = toy_grid(15, steps_per_week=2)
         data = simulate(m, m.params, g, n_sims=1, seed=4).observation_series(0)
         direct = deterministic_loglik(m, m.params, data, g, None)
         pf = particle_filter(m, m.params, data, g, J=1, seed=9)

@@ -148,7 +148,7 @@ class TestVaccinationDynamics:
         assert vacc_s > 0.0
 
     def test_model3_vaccination_reduces_infections(self, geo):
-        from epipomp.grid import TimeGrid
+        from epipomp.grid import weekly_grid
         from epipomp.haiti.model3 import build_model3
         from epipomp.model import simulate
         from epipomp.series import CovariateTable, standardize_rainfall
@@ -162,7 +162,7 @@ class TestVaccinationDynamics:
         m_v = build_model3(init, geo, schedule=sched)
         m_0 = build_model3(init, geo)
         t0 = 3 * WEEK
-        grid = TimeGrid(t0, t0 + np.arange(1, 101) * WEEK, euler_step=WEEK / 7)
+        grid = weekly_grid(100, t0)
         res_v = simulate(m_v, m_v.params, grid, covs, n_sims=3, seed=8)
         res_0 = simulate(m_0, m_0.params, grid, covs, n_sims=3, seed=8)
         ti_cols = [m_v.state_names.index(s) for s in m_v.true_infection_states]

@@ -199,16 +199,25 @@ _SHAPES = {
     "data.hurricane_date": (lambda value: value is None or _is_date(value), "an ISO-8601 date or null"),
     "data.phase_break_date": (_is_date, "an ISO-8601 date or null"),
     "grid.steps_per_week": (_is_count, "an integer >= 1 or null"),
+    "simulate.n_sims": (_is_count, "an integer >= 1"),
     "simulate.horizon_weeks": (_is_count, "an integer >= 1"),
-    "fit.eval_particles": (_is_int, "an integer or null"),
+    "filter.J": (_is_count, "an integer >= 1"),
+    "fit.J": (_is_count, "an integer >= 1"),
+    "fit.M": (_is_count, "an integer >= 1"),
+    "fit.cooling": (lambda value: _is_number(value) and 0 < value <= 1, "a number in (0, 1]"),
+    "fit.eval_particles": (_is_count, "an integer >= 1 or null"),
     "blocks": (_list_of(_list_of(_is_str)), "a list of lists of unit names or null"),
     "fit_traj.free": (_list_of(_is_str), "a list of parameter names"),
     "profile.values": (lambda value: _list_of(_is_number)(value) or _is_linspace(value),
                        'a list of numbers or {"lo": number, "hi": number, "n": integer >= 1}'),
+    "profile.replicates": (_is_count, "an integer >= 1"),
     "profile.method": (lambda value: value in ("if2", "traj"), "'if2' or 'traj'"),
     "mcap.confidence": (lambda value: _is_number(value) and 0 < value < 1, "a number in (0, 1)"),
     "mcap.span": (lambda value: _is_number(value) and 0 < value <= 1, "a number in (0, 1]"),
+    "forecast.n_sims": (_is_count, "an integer >= 1"),
     "forecast.horizon_weeks": (_is_count, "an integer >= 1"),
+    "forecast.J": (_is_count, "an integer >= 1"),
+    "forecast.window": (_is_count, "an integer >= 1"),
 }
 
 
@@ -483,7 +492,7 @@ def _fmt(v) -> str:
     if v is None or (isinstance(v, float) and np.isnan(v)):
         return "NA"
     f = float(v)
-    return str(int(f)) if f == int(f) else f"{f:.6g}"
+    return str(int(f)) if f.is_integer() else f"{f:.6g}"  # inf is not an integer
 
 
 def cmd_filter(cfg: dict, out: Path, inputs: dict) -> dict:
@@ -639,6 +648,8 @@ def cmd_profile(cfg: dict, out: Path, inputs: dict) -> dict:
     if not parameter:
         raise ConfigError("profile.parameter must be set")
     values = pr["values"]
+    if not values:
+        raise ConfigError("profile.values must be set")
     if isinstance(values, dict):  # {"lo", "hi", "n"}: n even steps
         values = np.linspace(float(values["lo"]), float(values["hi"]), values["n"])
     values = [float(v) for v in values]
@@ -646,7 +657,8 @@ def cmd_profile(cfg: dict, out: Path, inputs: dict) -> dict:
     workers = int(cfg["workers"])
     args = [(cfg, j.parameter, j.value, j.seed) for j in jobs]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all its workers at the first submit: no more than there are jobs
+        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
             results = list(pool.map(_profile_job_star, args))
     else:
         results = [_profile_job_star(a) for a in args]
@@ -781,7 +793,10 @@ def cmd_forecast(cfg: dict, out: Path, inputs: dict) -> dict:
         }
 
     window = int(fc["window"])
-    check_window(window, horizon)  # before the filter, not after every simulation
+    try:  # before the filter, not after every simulation
+        check_window(window, horizon)
+    except ValidationError as exc:
+        raise ConfigError(f"forecast.window: {exc}") from None
     pf = particle_filter(
         bundle.model, bundle.params, bundle.data, bundle.grid, bundle.covs,
         J=int(fc["J"]), seed=seed, blocks=cfg["blocks"],

@@ -104,7 +104,7 @@ def number(path: str | Path, line: int, row: dict[str, str], column: str) -> flo
 def _long_table(path: str | Path, value_col: str, integer: bool):
     """Read a long (date, department, value) table into a dense matrix."""
     seen: dict[tuple[dt.date, str], int] = {}
-    dates: dict[dt.date, None] = {}
+    dates: dict[dt.date, int] = {}  # date -> its first line
     depts: dict[str, None] = {}
     parsed = []
     for line, r in read_csv(path, ["date", "department", value_col]):
@@ -116,7 +116,7 @@ def _long_table(path: str | Path, value_col: str, integer: bool):
                 f"{path}: duplicate (date, department) = ({d}, {dep}) at rows {seen[key]} and {line}"
             )
         seen[key] = line
-        dates[d] = None
+        dates.setdefault(d, line)
         depts[dep] = None
         raw = r[value_col]
         if raw in MISSING_TOKENS:
@@ -129,13 +129,12 @@ def _long_table(path: str | Path, value_col: str, integer: bool):
                 raise DataFormatError(f"{path}: row {line}: non-integer count {val}")
         parsed.append((d, dep, val))
     date_list = sorted(dates)
-    gaps = [
-        f"{a} -> {b}"
-        for a, b in zip(date_list[:-1], date_list[1:])
-        if (b - a).days != 7
-    ]
+    gaps = [(a, b) for a, b in zip(date_list[:-1], date_list[1:]) if (b - a).days != 7]
     if gaps:
-        raise DataFormatError(f"{path}: dates are not a uniform weekly grid; gaps at: {'; '.join(gaps)}")
+        raise DataFormatError(
+            f"{path}: row {dates[gaps[0][1]]}: dates are not a uniform weekly grid; gaps at: "
+            + "; ".join(f"{a} -> {b}" for a, b in gaps)
+        )
     dept_list = sorted(depts)
     index_d = {d: j for j, d in enumerate(date_list)}
     index_u = {u: j for j, u in enumerate(dept_list)}

@@ -33,7 +33,7 @@ from .errors import ValidationError
 from .filtering import _filter_pass, particle_filter, resolve_blocks, systematic_indices
 from .grid import TimeGrid
 from .model import PompModel, advance, compile_theta, make_rng
-from .params import ParamDef, ParameterSet, from_estimation, split_key, to_estimation
+from .params import ParameterSet, check_domain, from_estimation, split_key, to_estimation
 from .series import CovariateTable, ObservationSeries
 
 
@@ -161,18 +161,8 @@ def _natural_theta(
     for base in dict.fromkeys(layout.bases):
         theta[base] = np.full((est.shape[1], model.n_units), fixed_theta[base])
     for ci, (units, tr) in enumerate(zip(layout.readers, layout.transforms)):
-        theta[layout.bases[ci]][:, units] = _vec_from_est(est[layout.unit_block[units], :, ci], tr).T
+        theta[layout.bases[ci]][:, units] = from_estimation(est[layout.unit_block[units], :, ci], tr).T
     return theta
-
-
-def _vec_from_est(values: np.ndarray, transform: str) -> np.ndarray:
-    if transform == "identity":
-        return values
-    if transform == "log":
-        return np.exp(values)
-    if transform == "logit":
-        return 1.0 / (1.0 + np.exp(-values))
-    raise ValidationError(f"unknown transform {transform!r}")
 
 
 def _center_params(params: ParameterSet, layout: _SearchLayout, est: np.ndarray) -> ParameterSet:
@@ -180,7 +170,7 @@ def _center_params(params: ParameterSet, layout: _SearchLayout, est: np.ndarray)
     updates = {}
     for ci, (key, b) in enumerate(zip(layout.keys, layout.home)):
         copies = est[:, :, ci] if b < 0 else est[b, :, ci]
-        updates[key] = from_estimation(float(np.mean(copies)), layout.transforms[ci])
+        updates[key] = from_estimation(np.mean(copies), layout.transforms[ci])
     return params.replace(updates)
 
 
@@ -271,12 +261,13 @@ def _iterated_filter(
         for ci in matches:
             tr = layout.transforms[ci]
             try:  # both bounds inside the transform's domain, as a parameter value must be
-                ParamDef(lo, tr), ParamDef(hi, tr)
+                check_domain(lo, tr)
+                check_domain(hi, tr)
             except ValidationError as err:
                 raise ValidationError(f"hypercube for {name!r}: {err}") from None
             if lo > hi:
                 raise ValidationError(f"hypercube for {name!r}: lower bound {lo} exceeds upper bound {hi}")
-            est[:, :, ci] = [to_estimation(v, tr) for v in init_rng.uniform(lo, hi, size=J)]
+            est[:, :, ci] = to_estimation(init_rng.uniform(lo, hi, size=J), tr)
 
     trace: list[IterationRecord] = []
     best: tuple[float, ParameterSet] | None = None
@@ -316,7 +307,7 @@ def _iterated_filter(
     # the copies of a shared column agree after reconciliation: take block 0's
     natural = np.empty((J, len(layout.keys)))
     for ci, (b, tr) in enumerate(zip(layout.home, layout.transforms)):
-        natural[:, ci] = _vec_from_est(est[max(b, 0), :, ci], tr)
+        natural[:, ci] = from_estimation(est[max(b, 0), :, ci], tr)
 
     return If2Result(
         best=best[1],

@@ -2,7 +2,10 @@
 
 Parameters live on their natural scale. Each entry carries a transform
 (identity, log, or logit) mapping to the unconstrained estimation scale used
-by the search algorithms.
+by the search algorithms. This module is the one place that knows the
+transforms: :func:`to_estimation` and :func:`from_estimation` map floats and
+arrays alike, and :func:`check_domain` refuses a value outside a transform's
+natural domain.
 
 The key ``"name[unit]"`` is the one record of which spatial unit owns a
 parameter (e.g. a per-department transmission rate) or a state variable:
@@ -22,8 +25,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-TRANSFORMS = ("identity", "log", "logit")
-
 
 def family_key(name: str, unit: str) -> str:
     """Key of the unit-specific entry for ``name`` owned by ``unit``."""
@@ -38,24 +39,40 @@ def split_key(key: str) -> tuple[str, str | None]:
     return key, None
 
 
-def to_estimation(value: float, transform: str) -> float:
-    if transform == "identity":
-        return float(value)
-    if transform == "log":
-        return math.log(value)
-    if transform == "logit":
-        return math.log(value / (1.0 - value))
-    raise ValidationError(f"unknown transform {transform!r}")
+# Each transform's natural -> estimation map, its estimation -> natural map
+# (numpy, so a float gives a float and an array gives an array) and its open
+# natural domain (lower, upper, and what a value outside it is told).
+_TRANSFORMS = {
+    "identity": (np.float64, np.float64, (-math.inf, math.inf, "must be finite")),
+    "log": (np.log, np.exp, (0.0, math.inf, "must be positive")),
+    "logit": (
+        lambda v: np.log(v / (1.0 - v)),
+        lambda e: 1.0 / (1.0 + np.exp(-e)),
+        (0.0, 1.0, "must lie in (0,1)"),
+    ),
+}
 
 
-def from_estimation(value: float, transform: str) -> float:
-    if transform == "identity":
-        return float(value)
-    if transform == "log":
-        return math.exp(value)
-    if transform == "logit":
-        return 1.0 / (1.0 + math.exp(-value))
-    raise ValidationError(f"unknown transform {transform!r}")
+def to_estimation(value, transform: str):
+    """Natural-scale ``value`` (a float or an array) on the estimation scale."""
+    return _TRANSFORMS[transform][0](value)
+
+
+def from_estimation(value, transform: str):
+    """Estimation-scale ``value`` (a float or an array) on the natural scale."""
+    return _TRANSFORMS[transform][1](value)
+
+
+def check_domain(value: float, transform: str) -> None:
+    """Raise unless ``transform`` is known and ``value`` lies in its open natural domain."""
+    if transform not in _TRANSFORMS:
+        raise ValidationError(f"unknown transform {transform!r}")
+    lo, hi, what = _TRANSFORMS[transform][2]
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValidationError(f"non-finite parameter value {v!r}")
+    if not lo < v < hi:
+        raise ValidationError(f"{transform}-transformed parameter {what}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -66,15 +83,7 @@ class ParamDef:
     transform: str = "identity"
 
     def __post_init__(self) -> None:
-        if self.transform not in TRANSFORMS:
-            raise ValidationError(f"unknown transform {self.transform!r}")
-        v = float(self.value)
-        if not math.isfinite(v):
-            raise ValidationError(f"non-finite parameter value {v!r}")
-        if self.transform == "log" and v <= 0.0:
-            raise ValidationError(f"log-transformed parameter must be positive, got {v}")
-        if self.transform == "logit" and not 0.0 < v < 1.0:
-            raise ValidationError(f"logit-transformed parameter must lie in (0,1), got {v}")
+        check_domain(self.value, self.transform)
 
 
 class ParameterSet(Mapping[str, float]):
@@ -133,7 +142,7 @@ class ParameterSet(Mapping[str, float]):
 
     def from_est(self, names: Iterable[str], values: np.ndarray) -> "ParameterSet":
         updates = {
-            n: from_estimation(float(v), self._entries[n].transform)
+            n: from_estimation(v, self._entries[n].transform)
             for n, v in zip(names, values)
         }
         return self.replace(updates)

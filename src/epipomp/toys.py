@@ -216,7 +216,10 @@ def hmm_model(
 
     def dunit(y, X, t, theta):
         x = X[:, 0].astype(int)
-        return log_e[x, int(y[0])][:, None]
+        k = y[0]
+        if not (0 <= k < log_e.shape[1] and k == round(k)):  # no such category: probability 0
+            return np.full((x.size, 1), -np.inf)
+        return log_e[x, int(k)][:, None]
 
     def runit(X, t, theta, rng):
         x = X[:, 0].astype(int)

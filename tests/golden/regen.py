@@ -4,9 +4,9 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/golden/regen.py
 
-It runs every entry of ``tests/test_golden.py``'s ``RUNS`` and prints the
-entries whose hashes changed. List those in ``CHANGES.md`` with the reason
-the outputs moved.
+It runs every entry of ``tests/test_golden.py``'s ``RUNS`` and prints each
+entry whose hashes changed, with its headline and the output files that moved.
+List those in ``CHANGES.md`` with the reason the outputs moved.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from test_golden import GOLDEN, RUNS, run_golden  # noqa: E402
+from test_golden import GOLDEN, RUNS, changed_files, run_golden  # noqa: E402
 
 
 def main() -> int:
@@ -33,7 +33,9 @@ def main() -> int:
             work.mkdir()
             runs[name] = run_golden(name, work)
             if old.get(name) != runs[name]:
+                moved = changed_files(old.get(name, {"files": {}}), runs[name])
                 print(f"changed: {name} {runs[name]['headline']}")
+                print(f"  files: {', '.join(moved) or 'none (headline only)'}")
     if runs["profile-workers-1"] != runs["profile-workers-2"]:
         print("profile outputs depend on the worker count", file=sys.stderr)
         return 1

@@ -223,12 +223,12 @@ class TestForecastRefusals:
     def test_zero_simulations_refused(self, tmp_path):
         code, summary = self.forecast(tmp_path, "toy:sir", "forecast.n_sims=0")
         assert code == 2
-        assert summary["error"] == "n_sims must be >= 1"
+        assert summary["error"] == "forecast.n_sims must be an integer >= 1, got 0"
 
     def test_zero_week_window_refused(self, tmp_path):
         code, summary = self.forecast(tmp_path, "toy:sir", "forecast.window=0")
         assert code == 2
-        assert "elimination window must be at least one week" in summary["error"]
+        assert summary["error"] == "forecast.window must be an integer >= 1, got 0"
 
 
 class TestForecastWindow:

@@ -29,6 +29,26 @@ class TestParameterSet:
     def test_logit_round_trip(self, v):
         assert from_estimation(to_estimation(v, "logit"), "logit") == pytest.approx(v, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "transform, inside",
+        [
+            ("identity", st.floats(min_value=-1e8, max_value=1e8)),
+            ("log", st.floats(min_value=1e-8, max_value=1e8)),
+            ("logit", st.floats(min_value=1e-6, max_value=1 - 1e-6)),
+        ],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_array_call_matches_float_calls_and_round_trips(self, transform, inside, data):
+        # the swarm maps arrays, a center or a trajectory-matching step maps
+        # floats: both go through the one transform, bit for bit
+        values = np.array(data.draw(st.lists(inside, min_size=2, max_size=50)))
+        est = to_estimation(values, transform)
+        back = from_estimation(est, transform)
+        assert np.array_equal(est, [to_estimation(float(v), transform) for v in values])
+        assert np.array_equal(back, [from_estimation(float(e), transform) for e in est])
+        np.testing.assert_allclose(back, values, rtol=1e-9)
+
     def test_family_access_and_keys(self):
         # the key is the one record of the owning unit
         ps = ParameterSet(

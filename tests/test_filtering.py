@@ -122,6 +122,16 @@ class TestStructure:
         assert res.loglik == -np.inf
         assert 2 in res.failed_times
 
+    def test_hmm_count_outside_the_emission_table_fails_its_week(self):
+        # a category the emission table lacks has probability 0, as a
+        # fractional count has for the negative binomial
+        m = hmm_model(TRANS, EMIT, INIT)
+        data = ObservationSeries(("unit",), np.array([[0.0, 2.0, 5.0, 1.0, 600.0, 3.0]]))
+        res = particle_filter(m, m.params, data, toy_grid(6), J=50, seed=0)
+        assert res.failed_times == (2, 4, 5)
+        assert res.loglik == -np.inf
+        assert np.isfinite(res.cond_logliks[[0, 1, 3]]).all()
+
     def test_missing_observations_contribute_zero_and_skip_resampling(self):
         m = sir_model()
         g = toy_grid(10)

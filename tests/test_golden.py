@@ -115,6 +115,12 @@ def run_golden(name: str, tmp: Path) -> dict:
     return {"files": files, "headline": headline}
 
 
+def changed_files(want: dict, got: dict) -> list[str]:
+    """The output files whose hashes differ between two entries of ``golden.json``."""
+    return sorted(f for f in set(want["files"]) | set(got["files"])
+                  if want["files"].get(f) != got["files"].get(f))
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     recorded = json.loads(GOLDEN.read_text())
@@ -137,10 +143,7 @@ def test_profile_hashes_do_not_depend_on_workers(golden):
 def test_seeded_outputs_match_golden(golden, name, tmp_path):
     want = golden["runs"][name]
     got = run_golden(name, tmp_path)
-    changed = sorted(
-        f for f in set(want["files"]) | set(got["files"])
-        if want["files"].get(f) != got["files"].get(f)
-    )
+    changed = changed_files(want, got)
     assert not changed, (
         f"{name}: changed outputs {changed}; headline recorded {want['headline']}, "
         f"now {got['headline']}"

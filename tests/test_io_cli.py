@@ -15,7 +15,7 @@ from oracles import save_cases, toy_grid
 
 from epipomp import io
 from epipomp.benchmark import fit_benchmark
-from epipomp.cli import _SHAPES, DEFAULTS, bundled_path, check_config, main, parse_set, resolve_config
+from epipomp.cli import _SHAPES, DEFAULTS, _fmt, bundled_path, check_config, main, parse_set, resolve_config
 from epipomp.errors import ConfigError, DataFormatError
 from epipomp.series import ObservationSeries
 
@@ -73,6 +73,18 @@ class TestLoadCases:
         )
         with pytest.raises(DataFormatError, match="2015-01-03 -> 2015-01-17"):
             io.load_cases(p)
+
+    def test_date_gap_names_the_first_row_of_its_later_date(self, tmp_path):
+        dates = ["2020-01-04", "2020-01-11", "2020-01-18", "2020-02-01"]
+        p = write(
+            tmp_path / "c.csv",
+            "date,department,cases\n" + "".join(f"{d},{u},1\n" for u in "AB" for d in dates),
+        )
+        with pytest.raises(DataFormatError) as exc:
+            io.load_cases(p)
+        assert str(exc.value) == (
+            f"{p}: row 5: dates are not a uniform weekly grid; gaps at: 2020-01-18 -> 2020-02-01"
+        )
 
     def test_incomplete_grid_rejected(self, tmp_path):
         p = write(
@@ -353,6 +365,52 @@ class TestCliPipeline:
         assert code == 0
         assert seen == [({"gamma": 0.05}, v) for v in (1.5, 1.5, 2.5, 2.5)]
 
+    def test_profile_pool_has_no_more_workers_than_jobs(self, tmp_path, toy_cases, monkeypatch):
+        # a fork pool starts all its workers at the first submit; this one
+        # records its size and runs the jobs in this process
+        import epipomp.cli as cli
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "if2", lambda *args, **kwargs: SimpleNamespace(best_loglik=-1.0))
+        code = self.run(
+            "profile", "--seed", "5", "--workers", "16", "--out", str(tmp_path / "prof"),
+            "--set", "model=toy:sir", "--set", f"data.cases={toy_cases}",
+            "--set", "profile.parameter=beta", "--set", "profile.values=[1.5, 2.0, 2.5]",
+            "--set", "profile.replicates=1", "--set", 'fit.rw_sd={"gamma": 0.05}',
+        )
+        assert code == 0
+        assert sizes == [3]
+
+    def test_non_finite_simulated_value_is_written_as_inf(self, tmp_path):
+        # a huge log-normal sd overflows model2's reported draw to inf
+        out = tmp_path / "s"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = self.run(
+                "simulate", "--seed", "1", "--out", str(out), "--set", "model=model2",
+                "--set", "params.psi=400", "--set", "simulate.n_sims=2", "--set", "data.weeks=[0,3]",
+            )
+        assert code == 0
+        reported = [line.split(",")[3] for line in (out / "simulations.csv").read_text().splitlines()[1:]]
+        assert "inf" in reported
+        assert all(v == "inf" or np.isfinite(float(v)) for v in reported)
+        assert [_fmt(v) for v in (3.0, -1.0, 2.5, 1e20, 1.234567e-9, np.nan, -np.inf)] == [
+            "3", "-1", "2.5", "100000000000000000000", "1.23457e-09", "NA", "-inf"]
+
     def test_console_entry_point(self):
         res = subprocess.run(
             [sys.executable, "-m", "epipomp", "--help"], capture_output=True, text=True
@@ -409,6 +467,15 @@ class TestCliPipeline:
         assert "eval_particles" in summary["error"]
 
 
+def _leaves(table: dict, prefix: str = ""):
+    """(dotted key, default) of every setting in ``table``; an empty table is one setting."""
+    for key, value in table.items():
+        if isinstance(value, dict) and value:
+            yield from _leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key, value
+
+
 class TestConfigFaults:
     """Every config value is checked against DEFAULTS before a command runs,
     and a fault is reported in the output directory like any other."""
@@ -425,9 +492,9 @@ class TestConfigFaults:
         [
             ("filter.j=10", "unknown config key 'filter.j'"),
             ("fliter.J=10", "unknown config key 'fliter'"),
-            ("filter.J=abc", "filter.J must be an integer, got 'abc'"),
-            ("filter.J=true", "filter.J must be an integer, got True"),
-            ("filter.J=10.5", "filter.J must be an integer, got 10.5"),
+            ("filter.J=abc", "filter.J must be an integer >= 1, got 'abc'"),
+            ("filter.J=true", "filter.J must be an integer >= 1, got True"),
+            ("filter.J=10.5", "filter.J must be an integer >= 1, got 10.5"),
             ("grid.steps_per_week=fast", "grid.steps_per_week must be an integer >= 1 or null"),
             ("benchmark.per_unit=1", "benchmark.per_unit must be true or false"),
             ("forecast.scenario=4", "forecast.scenario must be a string or null"),
@@ -542,15 +609,8 @@ class TestConfigFaults:
         assert key in capsys.readouterr().err
 
     def test_defaults_pass_and_every_shape_names_a_setting(self):
-        def leaves(table, prefix=""):
-            for key, value in table.items():
-                if isinstance(value, dict) and value:
-                    yield from leaves(value, prefix + key + ".")
-                elif not isinstance(value, dict):
-                    yield prefix + key
-
         check_config(DEFAULTS)
-        assert set(_SHAPES) <= set(leaves(DEFAULTS))
+        assert set(_SHAPES) <= {key for key, _ in _leaves(DEFAULTS)}
 
     def test_float_setting_takes_an_integer_and_null_turns_a_string_off(self):
         args = TestConfigPrecedence()._args(set=["mcap.span=1", "data.hurricane_date=null"])
@@ -587,6 +647,73 @@ class TestConfigFaults:
                 "--set", "profile.parameter=beta", "--set", setting]
         assert main(argv) == 2
         assert key in capsys.readouterr().err
+
+
+# the command that reads each setting, by dotted key or else by its table
+READER = {"model": "filter", "seed": "filter", "workers": "profile", "out": "simulate", "data": "filter",
+          "data.scenario_file": "forecast", "grid": "simulate", "params": "filter", "simulate": "simulate",
+          "filter": "filter", "fit": "fit-if2", "blocks": "fit-ibpf", "fit_traj": "fit-traj",
+          "benchmark": "benchmark", "profile": "profile", "mcap": "mcap", "forecast": "forecast"}
+# what each command needs besides to run at a tiny size on toy:sir
+TINY = {
+    "filter": ["filter.J=2"],
+    "simulate": ["simulate.n_sims=1", "simulate.horizon_weeks=3"],
+    "fit-if2": ["fit.J=2", "fit.M=1"],
+    "fit-ibpf": ["fit.J=2", "fit.M=1", 'fit.rw_sd={"beta": 0.05}'],
+    "fit-traj": ["model=toy:sir-det"],
+    "benchmark": [],
+    "profile": ["profile.parameter=beta", "profile.values=[1.5]", "profile.replicates=1",
+                "fit.J=2", "fit.M=1", 'fit.rw_sd={"gamma": 0.05}'],
+    "mcap": ["mcap.input={profile}"],
+    "forecast": ["forecast.J=2", "forecast.n_sims=2", "forecast.horizon_weeks=4", "forecast.window=2"],
+}
+HUGE = str(10**12)
+# process, particle, simulation, iteration, step and week counts: a huge one
+# would start or allocate that many
+NO_HUGE = {"workers", "grid.steps_per_week", "simulate.n_sims", "simulate.horizon_weeks", "filter.J",
+           "fit.J", "fit.M", "fit.eval_particles", "profile.replicates", "forecast.n_sims",
+           "forecast.horizon_weeks", "forecast.J"}
+# the boundary values that lie inside their setting's domain; every other one is refused
+TAKEN = {("seed", "0"), ("seed", HUGE), ("params", "{}"), ("fit_traj.free", "[]")}
+
+
+def _boundary_cases():
+    for key, default in _leaves(DEFAULTS):
+        wrong_type = "x" if isinstance(default, bool) else "true"
+        for value in ("0", "-1", HUGE, wrong_type, "[]", "{}"):
+            if not (value == HUGE and key in NO_HUGE):
+                yield key, value
+
+
+class TestConfigBoundaries:
+    """Every setting of ``DEFAULTS`` at 0, -1, a huge value, a wrong type and
+    an empty list or table, run by the command that reads it."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        cases = write(root / "cases.csv", "date,department,cases\n" + "".join(
+            f"2020-01-{4 + 7 * k:02d},unit,{c}\n" for k, c in enumerate([3, 9, 20, 14])))
+        profile = write(root / "profile.csv", "parameter,value,loglik\n" + "".join(
+            f"beta,{v},{-(v - 2) ** 2}\n" for v in (1.0, 1.5, 2.0, 2.5, 3.0)))
+        return cases, profile
+
+    @pytest.mark.parametrize("key, value", list(_boundary_cases()))
+    def test_refused_naming_the_key_unless_taken(self, inputs, tmp_path, monkeypatch, capsys, key, value):
+        cases, profile = inputs
+        command = READER.get(key) or READER[key.split(".")[0]]
+        monkeypatch.chdir(tmp_path)  # where an unchecked out would write
+        sets = ["model=toy:sir", f"data.cases={cases}", "seed=1", *TINY[command], f"{key}={value}"]
+        argv = [command, *(["--out", "run"] if key != "out" else [])]
+        for item in sets:
+            argv += ["--set", item.replace("{profile}", str(profile))]
+        code = main(argv)
+        err = capsys.readouterr().err
+        if (key, value) in TAKEN:
+            assert code == 0, err
+        else:
+            assert code == 2, err
+            assert key in err, err
 
 
 class TestDataWeeks:

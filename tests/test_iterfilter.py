@@ -14,13 +14,12 @@ from epipomp.iterfilter import (
     If2Settings,
     _expand_search,
     _natural_theta,
-    _vec_from_est,
     cooled_sd,
     ibpf,
     if2,
 )
 from epipomp.model import compile_theta, simulate
-from epipomp.params import split_key
+from epipomp.params import from_estimation, split_key
 from epipomp.series import ObservationSeries
 from epipomp.toys import lgssm_model, metapop_model, sir_model
 
@@ -257,7 +256,7 @@ class TestNaturalTheta:
                 masked[[b for b in range(2) if b != block_of[unit]], :, ci] = np.nan
             for u, name in enumerate(m.units):
                 if unit in (None, name):
-                    expected = _vec_from_est(est[block_of[name], :, ci], layout.transforms[ci])
+                    expected = from_estimation(est[block_of[name], :, ci], layout.transforms[ci])
                     assert np.array_equal(theta[base][:, u], expected)
         assert np.isnan(masked).any()
         theta_masked = _natural_theta(m, fixed, layout, masked)

@@ -63,6 +63,11 @@ RUNS: dict[str, list[str]] = {
     "fit-ibpf-model3": ["fit-ibpf", "--seed", "0", "--set", "model=model3", "--set", "fit.J=20",
                         "--set", "fit.M=2", "--set", "data.weeks=[0,6]", "--set", f"blocks={BLOCKS}",
                         "--set", 'fit.rw_sd={"sigma_proc": 0.02, "beta_w": 0.02}'],
+    # IBPF's default layout, one block per department, as the m3-ibpf benchmark runs it
+    "fit-ibpf-model3-unit-blocks": ["fit-ibpf", "--seed", "0", "--set", "model=model3",
+                                    "--set", "fit.J=20", "--set", "fit.M=2",
+                                    "--set", "data.weeks=[0,6]",
+                                    "--set", 'fit.rw_sd={"sigma_proc": 0.02, "beta_w": 0.02}'],
     "fit-traj-model2": ["fit-traj", "--set", "model=model2", "--set", 'fit_traj.free=["beta_w"]',
                         "--set", "data.weeks=[0,3]"],
     "forecast-model3-V4": ["forecast", "--seed", "0", "--set", "model=model3",

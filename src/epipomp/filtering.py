@@ -5,9 +5,14 @@ and resamples them systematically within each block of spatial units. The
 plain particle filter is the one-block case in which every particle shares
 one parameter vector; IF2 and IBPF (:mod:`epipomp.iterfilter`) run the same
 pass with a per-particle, randomly perturbed parameter swarm that is
-resampled together with the states. Conditional log-likelihoods, effective
-sample sizes, and the final filtering particles are returned for diagnostics
-and forecasting.
+resampled together with the states.
+
+Each week one column-wise step, :func:`column_weights`, gives every unit and
+every block its conditional log-likelihood and effective sample size. Only
+the blocks whose weights are finite and not constant are resampled. A missing
+observation weighs 0, so a week with no observation adds 0 and moves no
+particle. Conditional log-likelihoods, effective sample sizes, and the final
+filtering particles are returned for diagnostics and forecasting.
 """
 
 from __future__ import annotations
@@ -24,35 +29,21 @@ from .params import ParameterSet
 from .series import CovariateTable, ObservationSeries
 
 
-def logmeanexp(logw: np.ndarray) -> float:
-    """log of the mean of exponentials, stable under -inf entries."""
-    m = logw.max()
-    if not np.isfinite(m):
-        return float(m)
-    e = np.exp(logw - m)
-    return float(m + np.log(e.sum() / e.size))
+def column_weights(logw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The log mean exp and the ESS of each column of a (J, K) log-weight array.
 
-
-def logmeanexp_columns(logw: np.ndarray) -> np.ndarray:
-    """:func:`logmeanexp` of each column of a (J, U) array, to the same bits:
-    each column's exponentials are summed as one contiguous row."""
+    Each column's weights are summed as one contiguous row, so a column gets
+    the bits a 1-d ``log(mean(exp(w)))`` of it has. A column without a finite
+    maximum keeps that maximum and has ESS 1; constant weights have ESS J.
+    """
     m = logw.max(0)
-    finite = np.isfinite(m)
-    if not finite.all():  # a column without a finite maximum keeps it, as logmeanexp does
-        m[finite] = logmeanexp_columns(logw[:, finite])
-        return m
-    e = np.exp(logw - m)
-    return m + np.log(np.ascontiguousarray(e.T).sum(axis=1) / logw.shape[0])
-
-
-def effective_sample_size(logw: np.ndarray) -> float:
-    """ESS of a log-weight vector; equals J for constant weights."""
-    m = np.max(logw)
-    if not np.isfinite(m):
-        return 1.0
-    w = np.exp(logw - m)
-    s = w.sum()
-    return float(s * s / np.sum(w * w))
+    ess = np.ones_like(m)
+    live = np.isfinite(m)
+    w = np.ascontiguousarray(np.exp(logw[:, live] - m[live]).T)
+    s = w.sum(axis=1)
+    m[live] += np.log(s / logw.shape[0])
+    ess[live] = s * s / (w * w).sum(axis=1)
+    return m, ess
 
 
 def systematic_indices(logw: np.ndarray, u: float) -> np.ndarray:
@@ -86,12 +77,15 @@ def resolve_blocks(model: PompModel, blocks: Sequence[Sequence[str]] | None) -> 
 class PfResult:
     """Particle filter output.
 
-    ``cond_logliks`` sum to ``loglik`` exactly (fixed summation order).
-    ``ess`` is per observation time (minimum across blocks when block
-    filtering). ``filter_sample`` holds the J particles of the filtering
-    distribution at the final observation time. ``failed_times`` flags
-    observation indices where every particle had zero weight; the total
-    log-likelihood is -inf in that case rather than an exception.
+    ``cond_logliks[n]`` is the left-to-right sum over blocks of each block's
+    log mean weight, and they sum to ``loglik`` exactly (fixed summation
+    order); ``unit_cond_logliks`` (N, U) holds each unit's own. ``block_ess``
+    (N, B) is each block's ESS: J for constant weights, 1 for a block whose
+    particles all had zero weight. ``ess`` is its minimum over blocks.
+    ``filter_sample`` holds the J particles of the filtering distribution at
+    the final observation time. ``failed_times`` flags observation indices
+    where every particle of some block had zero weight; that block keeps its
+    particles, and the total log-likelihood is -inf rather than an exception.
     """
 
     loglik: float
@@ -176,30 +170,21 @@ def _filter_pass(
         X = advance(model, X, t_prev, t_next, theta, covs, grid, rng)
         y = data.values[:, n]
         missing = np.isnan(y)
-        if missing.all():
-            cond[n] = 0.0
-            ess[n] = float(J)
-            block_ess[n] = float(J)
-            continue
         logw_units = np.asarray(
             model.dunit_measure(np.where(missing, 0.0, y), X, t_next, theta), dtype=float
         )
-        logw_units[:, missing] = 0.0
-        unit_cond[n] = logmeanexp_columns(logw_units)  # exactly 0.0 where missing
-        t_cond = 0.0
-        time_failed = False
-        for b, cols in enumerate(block_cols):
-            logw = logw_units[:, cols].sum(axis=1)
-            c = logmeanexp(logw)
-            t_cond += c
-            if not np.isfinite(c):
-                time_failed = True
-                block_ess[n, b] = 1.0
-                continue
-            block_ess[n, b] = effective_sample_size(logw)
-            if np.ptp(logw) < 1e-14:
-                continue  # constant weights: resampling is a no-op
-            idx = systematic_indices(logw, rng.random())
+        logw_units[:, missing] = 0.0  # weighs 0.0: a week with no observation resamples nothing
+        unit_cond[n] = column_weights(logw_units)[0]
+        logw = np.column_stack([logw_units[:, cols].sum(axis=1) for cols in block_cols])
+        c, block_ess[n] = column_weights(logw)
+        cond[n] = sum(c.tolist())  # left to right over blocks
+        ess[n] = block_ess[n].min()
+        live = np.isfinite(c)
+        if not live.all():
+            failed.append(n)
+        for b in np.flatnonzero(live)[np.ptp(logw[:, live], axis=0) >= 1e-14]:
+            # a failed block keeps its particles; constant weights make resampling a no-op
+            idx = systematic_indices(logw[:, b], rng.random())
             if B == 1:
                 X = X[idx]
             else:
@@ -207,10 +192,6 @@ def _filter_pass(
                 X[:, sl] = X[np.ix_(idx, sl)]
             if swarm is not None:
                 swarm.resample(b, idx)
-        cond[n] = t_cond
-        ess[n] = block_ess[n].min()
-        if time_failed:
-            failed.append(n)
 
     return PfResult(
         loglik=float(np.sum(cond)),

@@ -4,6 +4,8 @@
   likelihoods of ``toys.hmm_model`` and ``toys.lgssm_model`` (forward
   algorithm and Kalman filter), the oracles the particle filter is checked
   against.
+- :func:`logmeanexp` and :func:`effective_sample_size` weigh one 1-d
+  log-weight vector, the references for ``filtering.column_weights``.
 - :func:`person_counts` and :func:`person_total` sum the person compartments
   of model3 and model2 states, for the population-conservation checks.
 - :func:`save_cases` writes a case series in the format ``io.load_cases``
@@ -54,6 +56,25 @@ def kalman_loglik(obs: np.ndarray, a: float, sig_proc: float, sig_obs: float) ->
         mean = pm + k * (y - pm)
         var = (1.0 - k) * pv
     return float(loglik)
+
+
+def logmeanexp(logw: np.ndarray) -> float:
+    """log of the mean of exponentials, stable under -inf entries."""
+    m = logw.max()
+    if not np.isfinite(m):
+        return float(m)
+    e = np.exp(logw - m)
+    return float(m + np.log(e.sum() / e.size))
+
+
+def effective_sample_size(logw: np.ndarray) -> float:
+    """ESS of a log-weight vector; equals J for constant weights."""
+    m = np.max(logw)
+    if not np.isfinite(m):
+        return 1.0
+    w = np.exp(logw - m)
+    s = w.sum()
+    return float(s * s / np.sum(w * w))
 
 
 def person_counts(X: np.ndarray, n_units: int) -> np.ndarray:

@@ -10,14 +10,12 @@ import pytest
 from conftest import mc_se_mean, se_proportion
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import hmm_forward_loglik, kalman_loglik, toy_grid
+from oracles import effective_sample_size, hmm_forward_loglik, kalman_loglik, logmeanexp, toy_grid
 
 from epipomp import filtering, iterfilter
 from epipomp.errors import ValidationError
 from epipomp.filtering import (
-    effective_sample_size,
-    logmeanexp,
-    logmeanexp_columns,
+    column_weights,
     particle_filter,
     sample_params_by_likelihood,
     systematic_indices,
@@ -106,8 +104,8 @@ class TestStructure:
         m, g, data = hmm_data
         res = particle_filter(m, m.params, data, g, J=64, seed=1)
         assert np.all(res.ess >= 1.0) and np.all(res.ess <= 64.0)
-        logw = np.zeros(64)
-        assert effective_sample_size(logw) == pytest.approx(64.0)
+        _, ess = column_weights(np.zeros((64, 3)))
+        assert np.all(ess == 64.0)
 
     def test_all_zero_weights_flags_time_and_returns_neg_inf(self):
         m = pure_death_model()
@@ -182,10 +180,11 @@ class TestSystematicResampling:
         assert counts.sum() == 300
 
     def test_logmeanexp_handles_neg_inf(self):
-        assert logmeanexp(np.array([-np.inf, -np.inf])) == -np.inf
-        assert logmeanexp(np.array([0.0, -np.inf])) == pytest.approx(np.log(0.5))
+        lme, ess = column_weights(np.array([[-np.inf, 0.0], [-np.inf, -np.inf]]))
+        assert lme[0] == -np.inf and ess[0] == 1.0
+        assert lme[1] == pytest.approx(np.log(0.5)) and ess[1] == 1.0
 
-    def test_logmeanexp_columns_bit_identical_to_each_column(self):
+    def test_column_weights_bit_identical_to_each_column(self):
         rng = np.random.default_rng(8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an all -inf column warns nothing
@@ -195,9 +194,9 @@ class TestSystematicResampling:
                 a[rng.random((J, U)) < rng.random() * 0.5] = -np.inf
                 if rng.random() < 0.3:
                     a[:, rng.integers(U)] = -np.inf
-                got = logmeanexp_columns(a)
-                want = np.array([logmeanexp(a[:, u]) for u in range(U)])
-                assert np.array_equal(got, want)
+                lme, ess = column_weights(a)
+                assert np.array_equal(lme, [logmeanexp(a[:, u]) for u in range(U)])
+                assert np.array_equal(ess, [effective_sample_size(a[:, u]) for u in range(U)])
 
 
 def _v4_schedule():
@@ -325,6 +324,35 @@ class TestRandomMissingPatterns:
             assert np.all(res.ess[all_missing] == J)
         assert np.all(per_week[missing.all(axis=0)] == 0)
         assert np.all(per_week <= 3 * (~missing).sum(axis=0))
+
+
+def test_a_failed_block_keeps_its_particles_and_the_others_resample(monkeypatch):
+    # every particle of the center block has zero weight in week 3
+    m, g, obs = _METAPOP
+    week, draws = [None], []
+
+    def dunit(y, X, t, theta):
+        week[0] = int(np.searchsorted(g.obs_times, t))
+        logw = np.array(m.dunit_measure(y, X, t, theta), dtype=float)
+        if week[0] == 3:
+            logw[:, 1] = -np.inf
+        return logw
+
+    real_systematic = filtering.systematic_indices
+
+    def resample(logw, u):
+        draws.append(week[0])
+        return real_systematic(logw, u)
+
+    monkeypatch.setattr(filtering, "systematic_indices", resample)
+    failing = dataclasses.replace(m, dunit_measure=dunit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # weighing the failed block warns nothing
+        res = particle_filter(failing, m.params, ObservationSeries(_UNITS, obs), g, J=50, seed=0,
+                              blocks=[[u] for u in _UNITS])
+    assert res.failed_times == (3,)
+    assert res.block_ess[3, 1] == 1.0 and np.all(res.block_ess[3, [0, 2]] > 1.0)
+    assert draws.count(3) == 2
 
 
 class TestSampleParamsByLikelihood:

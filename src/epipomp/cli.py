@@ -456,7 +456,10 @@ def _apply_param_overrides(params: ParameterSet, overrides: dict) -> ParameterSe
     unknown = [k for k in overrides if k not in params]
     if unknown:
         raise ConfigError(f"parameter overrides name unknown parameters {unknown}")
-    return params.replace({k: float(v) for k, v in overrides.items()})
+    try:
+        return params.replace({k: float(v) for k, v in overrides.items()})
+    except ValidationError as exc:
+        raise ConfigError(f"params.{exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +634,10 @@ def _profile_job(cfg: dict, parameter: str, value: float, seed: int) -> tuple[fl
     bundle = build_bundle(cfg, inputs=inputs)
     if parameter not in bundle.params:
         raise ConfigError(f"profiled parameter {parameter!r} is not a model parameter")
-    params = bundle.params.replace({parameter: value})
+    try:
+        params = bundle.params.replace({parameter: value})
+    except ValidationError as exc:
+        raise ConfigError(f"profile.values: {exc}") from None
     if cfg["profile"]["method"] == "traj":
         free = [p for p in cfg["fit_traj"]["free"] if p != parameter]
         loglik = trajectory_match(bundle.model, bundle.data, bundle.grid, bundle.covs, params, free).loglik
@@ -730,7 +736,11 @@ def _load_candidates(
         if unknown:
             raise ConfigError(f"{path}: candidate columns {unknown} are not model parameters")
         updates = {k: io.number(path, line, row, k) for k in row if k in params}
-        out.append((params.replace(updates), io.number(path, line, row, "loglik")))
+        try:
+            draw = params.replace(updates)
+        except ValidationError as exc:
+            raise DataFormatError(f"{path}: row {line}: {exc}") from None
+        out.append((draw, io.number(path, line, row, "loglik")))
     return out
 
 

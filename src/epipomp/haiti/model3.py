@@ -84,8 +84,6 @@ def _validate(params: ParameterSet) -> None:
     for key in params:
         if key.startswith("beta_hm[") and params[key] < 0:
             raise ValidationError(f"hurricane amplitude {key} must be nonnegative")
-    if not 0.0 < params["rho"] <= 1.0:
-        raise ValidationError("reporting rate must lie in (0, 1]")
 
 
 def build_model3(

@@ -119,13 +119,16 @@ class ParameterSet(Mapping[str, float]):
 
     # Derived views --------------------------------------------------------
     def replace(self, updates: Mapping[str, float]) -> "ParameterSet":
-        """New set with the given values replaced (transforms preserved)."""
+        """New set with the given values replaced (transforms preserved); a
+        value outside its transform's domain is a ValidationError naming its key."""
         entries = dict(self._entries)
         for k, v in updates.items():
             if k not in entries:
                 raise ValidationError(f"unknown parameter {k!r}")
-            d = entries[k]
-            entries[k] = ParamDef(float(v), d.transform)
+            try:
+                entries[k] = ParamDef(float(v), entries[k].transform)
+            except ValidationError as exc:
+                raise ValidationError(f"{k}: {exc}") from None
         return ParameterSet(entries)
 
     def require(self, names: Iterable[str]) -> None:

@@ -70,7 +70,7 @@ class TestParameterSet:
         ps2 = ps.replace({"r": 0.7})
         assert ps2["r"] == 0.7
         assert ps2.transform_of("r") == "logit"
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^r: logit-transformed parameter must lie in"):
             ps.replace({"r": 1.5})
         with pytest.raises(ValidationError):
             ps.replace({"unknown": 1.0})

@@ -270,8 +270,10 @@ class TestCliPipeline:
         [
             ("loglik,beta\n-100.0,1.8\nabc,2.2\n", "row 3: loglik 'abc' is not a number"),
             ("beta,gamma\n1.8,1.0\n", "row 1: header lacks column(s) ['loglik']"),
+            ("loglik,rho\n-100.0,0.5\n-99.0,1.5\n",
+             "row 3: rho: logit-transformed parameter must lie in (0,1), got 1.5"),
         ],
-        ids=["non-numeric", "missing-column"],
+        ids=["non-numeric", "missing-column", "out-of-domain"],
     )
     def test_malformed_candidates_file_is_a_data_error(self, tmp_path, toy_cases, text, message):
         path = write(tmp_path / "candidates.csv", text)
@@ -285,6 +287,25 @@ class TestCliPipeline:
         assert code == 3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["error"] == f"{path}: {message}"
+
+    def test_parameter_override_out_of_domain_exits_2_naming_it(self, tmp_path):
+        out = tmp_path / "s"
+        code = self.run("simulate", "--seed", "1", "--out", str(out),
+                        "--set", "model=toy:sir", "--set", "params.rho=1.5")
+        assert code == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == "params.rho: logit-transformed parameter must lie in (0,1), got 1.5"
+
+    def test_profile_value_out_of_domain_exits_2_naming_it(self, tmp_path, toy_cases):
+        out = tmp_path / "p"
+        code = self.run(
+            "profile", "--seed", "1", "--out", str(out), "--set", "model=toy:sir",
+            "--set", f"data.cases={toy_cases}", "--set", "profile.parameter=beta",
+            "--set", "profile.values=[-1.0, 2.0]", "--set", "profile.replicates=1",
+        )
+        assert code == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == "profile.values: beta: log-transformed parameter must be positive, got -1.0"
 
     @pytest.mark.parametrize(
         "setting, message",

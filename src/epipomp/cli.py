@@ -483,12 +483,21 @@ def cmd_simulate(cfg: dict, out: Path, inputs: dict) -> dict:
                 true_inc = res.states[s, n + 1, true_idx[u]] if true_idx is not None else np.nan
                 rows.append([s, n, unit, _fmt(res.observations[s, n, u]), _fmt(true_inc)])
     io.write_table(out / "simulations.csv", ["sim", "week", "department", "reported", "true_infections"], rows)
-    return {
+    summary = {
         "model": bundle.model_id,
         "n_sims": n_sims,
         "weeks": int(res.times.size),
         "total_reported": float(np.nansum(res.observations)),
     }
+    obs = res.observations
+    non_counts = int(np.sum(~(np.isfinite(obs) & (obs >= 0) & (obs == np.floor(obs)))))
+    if non_counts:
+        summary["notes"] = [
+            f"{non_counts} of {obs.size} simulated reports ({int(np.sum(obs < 0))} below zero) "
+            "are not nonnegative integers: the measurement model draws continuous values, "
+            "and total_reported sums them as drawn"
+        ]
+    return summary
 
 
 def _fmt(v) -> str:

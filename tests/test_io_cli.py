@@ -417,6 +417,21 @@ class TestCliPipeline:
         assert code == 0
         assert sizes == [3]
 
+    def test_simulated_reports_that_are_not_counts_are_noted(self, tmp_path):
+        # model2's log-normal measurement draws continuous reports, some below zero
+        notes = {}
+        for model in ("model2", "model3"):
+            out = tmp_path / model
+            code = self.run("simulate", "--seed", "1", "--out", str(out), "--set", f"model={model}",
+                            "--set", "simulate.n_sims=2", "--set", "data.weeks=[0,10]")
+            assert code == 0
+            notes[model] = json.loads((out / "summary.json").read_text()).get("notes")
+        assert notes["model3"] is None
+        assert notes["model2"] == [
+            "200 of 200 simulated reports (40 below zero) are not nonnegative integers: the "
+            "measurement model draws continuous values, and total_reported sums them as drawn"
+        ]
+
     def test_non_finite_simulated_value_is_written_as_inf(self, tmp_path):
         # a huge log-normal sd overflows model2's reported draw to inf
         out = tmp_path / "s"

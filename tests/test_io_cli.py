@@ -288,14 +288,6 @@ class TestCliPipeline:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["error"] == f"{path}: {message}"
 
-    def test_parameter_override_out_of_domain_exits_2_naming_it(self, tmp_path):
-        out = tmp_path / "s"
-        code = self.run("simulate", "--seed", "1", "--out", str(out),
-                        "--set", "model=toy:sir", "--set", "params.rho=1.5")
-        assert code == 2
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["error"] == "params.rho: logit-transformed parameter must lie in (0,1), got 1.5"
-
     def test_profile_value_out_of_domain_exits_2_naming_it(self, tmp_path, toy_cases):
         out = tmp_path / "p"
         code = self.run(
@@ -655,10 +647,18 @@ class TestConfigFaults:
         assert cfg["mcap"]["span"] == 1
         assert cfg["data"]["hurricane_date"] is None
 
-    def test_non_numeric_parameter_override_exits_2_naming_it(self, tmp_path, toy_cases):
-        assert self.run(tmp_path, toy_cases, 'params={"beta": "x"}') == 2
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ('params={"beta": "x"}', "params.beta='x'"),
+            ("params.rho=1.5", "params.rho: logit-transformed parameter must lie in (0,1), got 1.5"),
+        ],
+        ids=["non-numeric", "out-of-domain"],
+    )
+    def test_parameter_override_fault_exits_2_naming_it(self, tmp_path, toy_cases, setting, message):
+        assert self.run(tmp_path, toy_cases, setting) == 2
         summary = json.loads((tmp_path / "f" / "summary.json").read_text())
-        assert "params.beta='x'" in summary["error"]
+        assert message in summary["error"]
 
     def test_steps_per_week_below_one_exits_2(self, tmp_path, toy_cases):
         assert self.run(tmp_path, toy_cases, "grid.steps_per_week=0") == 2

@@ -641,12 +641,7 @@ def _profile_job(cfg: dict, parameter: str, value: float, seed: int) -> tuple[fl
     from config so it can run in a worker."""
     inputs: dict[str, str] = {}
     bundle = build_bundle(cfg, inputs=inputs)
-    if parameter not in bundle.params:
-        raise ConfigError(f"profiled parameter {parameter!r} is not a model parameter")
-    try:
-        params = bundle.params.replace({parameter: value})
-    except ValidationError as exc:
-        raise ConfigError(f"profile.values: {exc}") from None
+    params = bundle.params.replace({parameter: value})
     if cfg["profile"]["method"] == "traj":
         free = [p for p in cfg["fit_traj"]["free"] if p != parameter]
         loglik = trajectory_match(bundle.model, bundle.data, bundle.grid, bundle.covs, params, free).loglik
@@ -668,6 +663,15 @@ def cmd_profile(cfg: dict, out: Path, inputs: dict) -> dict:
     if isinstance(values, dict):  # {"lo", "hi", "n"}: n even steps
         values = np.linspace(float(values["lo"]), float(values["hi"]), values["n"])
     values = [float(v) for v in values]
+    # refuse a parameter or a value before any job runs
+    params = build_bundle(cfg, inputs=inputs).params
+    if parameter not in params:
+        raise ConfigError(f"profiled parameter {parameter!r} is not a model parameter")
+    for v in values:
+        try:
+            params.replace({parameter: v})
+        except ValidationError as exc:
+            raise ConfigError(f"profile.values: {exc}") from None
     jobs = profile_design(parameter, values, replicates=int(pr["replicates"]), base_seed=cfg["seed"])
     workers = int(cfg["workers"])
     args = [(cfg, j.parameter, j.value, j.seed) for j in jobs]

@@ -5,14 +5,12 @@ and resamples them systematically within each block of spatial units. The
 plain particle filter is the one-block case in which every particle shares
 one parameter vector; IF2 and IBPF (:mod:`epipomp.iterfilter`) run the same
 pass with a per-particle, randomly perturbed parameter swarm that is
-resampled together with the states.
-
-Each week one column-wise step, :func:`column_weights`, gives every unit and
-every block its conditional log-likelihood and effective sample size. Only
-the blocks whose weights are finite and not constant are resampled. A missing
-observation weighs 0, so a week with no observation adds 0 and moves no
-particle. Conditional log-likelihoods, effective sample sizes, and the final
-filtering particles are returned for diagnostics and forecasting.
+resampled together with the states. Each week one column-wise step,
+:func:`column_weights`, gives every unit and every block its conditional
+log-likelihood and effective sample size; only the blocks whose weights are
+finite and not constant are resampled, and a missing observation weighs 0.
+Conditional log-likelihoods, effective sample sizes, and the final filtering
+particles are returned for diagnostics and forecasting.
 """
 
 from __future__ import annotations

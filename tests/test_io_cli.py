@@ -288,14 +288,20 @@ class TestCliPipeline:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["error"] == f"{path}: {message}"
 
-    def test_profile_value_out_of_domain_exits_2_naming_it(self, tmp_path, toy_cases):
+    def test_profile_value_out_of_domain_exits_2_naming_it_before_any_fit(
+        self, tmp_path, toy_cases, monkeypatch
+    ):
+        import epipomp.cli as cli
+
+        fits = []
+        monkeypatch.setattr(cli, "if2", lambda *args, **kwargs: fits.append(args))
         out = tmp_path / "p"
         code = self.run(
             "profile", "--seed", "1", "--out", str(out), "--set", "model=toy:sir",
             "--set", f"data.cases={toy_cases}", "--set", "profile.parameter=beta",
-            "--set", "profile.values=[-1.0, 2.0]", "--set", "profile.replicates=1",
+            "--set", "profile.values=[2.0, -1.0]", "--set", "profile.replicates=1",
         )
-        assert code == 2
+        assert code == 2 and fits == []
         summary = json.loads((out / "summary.json").read_text())
         assert summary["error"] == "profile.values: beta: log-transformed parameter must be positive, got -1.0"
 
@@ -410,16 +416,13 @@ class TestCliPipeline:
         assert sizes == [3]
 
     def test_simulated_reports_that_are_not_counts_are_noted(self, tmp_path):
-        # model2's log-normal measurement draws continuous reports, some below zero
-        notes = {}
-        for model in ("model2", "model3"):
-            out = tmp_path / model
-            code = self.run("simulate", "--seed", "1", "--out", str(out), "--set", f"model={model}",
-                            "--set", "simulate.n_sims=2", "--set", "data.weeks=[0,10]")
-            assert code == 0
-            notes[model] = json.loads((out / "summary.json").read_text()).get("notes")
-        assert notes["model3"] is None
-        assert notes["model2"] == [
+        # model2's log-normal measurement draws continuous reports, some below zero;
+        # the count models' summaries have no note (goldens simulate-model3, simulate-toy-sir)
+        out = tmp_path / "s"
+        code = self.run("simulate", "--seed", "1", "--out", str(out), "--set", "model=model2",
+                        "--set", "simulate.n_sims=2", "--set", "data.weeks=[0,10]")
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["notes"] == [
             "200 of 200 simulated reports (40 below zero) are not nonnegative integers: the "
             "measurement model draws continuous values, and total_reported sums them as drawn"
         ]

@@ -81,6 +81,11 @@ RUNS: dict[str, list[str]] = {
     "forecast-model2-projection": ["forecast", "--seed", "0", "--set", "model=model2",
                                    "--set", "data.weeks=[0,4]",
                                    "--set", "forecast.horizon_weeks=52"],
+    # the same projection under vaccination, so model2's dosing branch runs
+    "forecast-model2-V4-projection": ["forecast", "--seed", "0", "--set", "model=model2",
+                                      "--set", "data.weeks=[0,4]",
+                                      "--set", "forecast.horizon_weeks=52",
+                                      "--set", "forecast.scenario=V4"],
     "forecast-toy-sir": ["forecast", "--seed", "0", *_TOY, "--set", "forecast.J=30",
                          "--set", "forecast.n_sims=10", "--set", "forecast.horizon_weeks=52",
                          "--set", "forecast.window=10"],

@@ -101,7 +101,9 @@ def trajectory_match(
     """Maximize the skeleton measurement log-density over ``free`` parameters.
 
     ``free`` may name shared parameters or unit-specific keys. An empty list
-    returns the input parameters and their log-likelihood unchanged.
+    returns the input parameters and their log-likelihood unchanged. The
+    start must lie in the model's domain (:meth:`PompModel.check_params`);
+    a candidate the search proposes outside it scores ``-inf``.
     """
     if model.stochastic:
         raise ValidationError("trajectory matching requires a deterministic skeleton")
@@ -110,9 +112,15 @@ def trajectory_match(
     if not free:
         return TrajMatchResult(params, deterministic_loglik(model, params, data, grid, covs), 0, 0)
     params.require(free)
+    model.check_params(params)
 
     def objective(est: np.ndarray) -> float:
         ps = params.from_est(free, est)
+        # a step outside the model's domain is a bad candidate, not a bad config
+        try:
+            model.check_params(ps)
+        except ValidationError:
+            return np.inf
         return -deterministic_loglik(model, ps, data, grid, covs)
 
     x0 = params.to_est(free)

@@ -663,6 +663,22 @@ class TestConfigFaults:
         summary = json.loads((tmp_path / "f" / "summary.json").read_text())
         assert message in summary["error"]
 
+    @pytest.mark.parametrize("a_seas", ["0.97", "1.2"])
+    def test_only_a_start_outside_the_domain_is_a_config_fault(self, tmp_path, a_seas):
+        # from a_seas=0.97, Nelder-Mead's first step is 1.0185, outside model2's [0, 1)
+        out = tmp_path / "f"
+        code = main(["fit-traj", "--out", str(out), "--set", "model=model2",
+                     "--set", 'fit_traj.free=["a_seas"]', "--set", f"params.a_seas={a_seas}",
+                     "--set", "data.weeks=[0,3]"])
+        summary = json.loads((out / "summary.json").read_text())
+        if a_seas == "1.2":
+            assert code == 2
+            assert (summary["category"], summary["error"]) == ("config", "seasonal amplitude must lie in [0, 1)")
+        else:
+            assert code == 0
+            assert np.isfinite(summary["loglik"])
+            assert 0.0 <= json.loads((out / "params.json").read_text())["a_seas"] < 1.0
+
     def test_steps_per_week_below_one_exits_2(self, tmp_path, toy_cases):
         assert self.run(tmp_path, toy_cases, "grid.steps_per_week=0") == 2
         summary = json.loads((tmp_path / "f" / "summary.json").read_text())

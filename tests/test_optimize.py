@@ -72,6 +72,26 @@ class TestTrajectoryMatch:
             trajectory_match(m, data, g, None, start, free=["beta"])
 
 
+class TestSearchOutsideTheDomain:
+    """model2 takes a seasonal amplitude in [0, 1): Nelder-Mead's first
+    simplex step from 0.97 proposes 0.97 * 1.05 = 1.0185."""
+
+    @pytest.mark.parametrize("free", [["a_seas"], ["phi", "a_seas"]])
+    def test_candidate_outside_the_domain_is_a_bad_candidate(self, free):
+        m, grid, data = M2_SKELETON
+        grid, data = weekly_grid(4), data.subset(0, 4)
+        start = m.params.replace({"a_seas": 0.97})
+        res = trajectory_match(m, data, grid, None, start, free=free)
+        assert 0.0 <= res.best["a_seas"] < 1.0
+        assert res.loglik >= deterministic_loglik(m, start, data, grid)
+
+    def test_start_outside_the_domain_is_refused(self):
+        m, grid, data = M2_SKELETON
+        start = m.params.replace({"a_seas": 1.2})
+        with pytest.raises(ValidationError, match=r"seasonal amplitude must lie in \[0, 1\)"):
+            trajectory_match(m, data, grid, None, start, free=["a_seas"])
+
+
 class TestDeterministicLoglik:
     def test_matches_single_particle_filter(self):
         from epipomp.filtering import particle_filter

@@ -12,6 +12,8 @@ squares calculation on the log scale.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import ValidationError
@@ -25,6 +27,7 @@ from .geography import GeographyData, synthetic_geography
 from .scenarios import VaccinationSchedule, empty_schedule
 
 N_COHORTS = 5  # z = 0 unvaccinated, 1..4 vaccination groups
+N_PERSONS = 6 * N_COHORTS  # S, E, I, A, R, RA of every cohort lead each unit's block
 
 #: Vaccine effectiveness per cohort (constant; waning is a compartment exit).
 COHORT_EFFICACY = np.array(
@@ -113,12 +116,6 @@ def build_model2(
     V = len(comp_names)  # 34
     state_names = tuple(family_key(c, u) for u in units for c in comp_names)
     sl = {c: i for i, c in enumerate(comp_names)}
-    S_cols = slice(0, 5)
-    E_cols = slice(5, 10)
-    I_cols = slice(10, 15)
-    A_cols = slice(15, 20)
-    R_cols = slice(20, 25)
-    RA_cols = slice(25, 30)
     iW, iCI, iTI, iCL = sl["W"], sl["CI"], sl["TI"], sl["CLAMP"]
 
     def rinit(theta, J, rng):
@@ -129,9 +126,19 @@ def build_model2(
         X[:, :, sl["S0"]] = pops[None, :] - i0
         return X.reshape(J, U * V)
 
+    # water moves along fixed river flows; people move at gravity rates that
+    # depend only on v_rate, so one matrix serves every step at that value
+    TW = geo.river_flows
+    TW_out = TW.sum(axis=1)[None, :]
+    susceptibility = 1.0 - COHORT_EFFICACY
+
+    @lru_cache(maxsize=1)
+    def gravity(v_rate: float) -> tuple[np.ndarray, np.ndarray]:
+        T = geo.gravity_matrix(v_rate)
+        return T, T.sum(axis=1)[None, :, None]
+
     def step(X, t, dt, theta, covs, rng):
         J = X.shape[0]
-        Y = X.reshape(J, U, V)
 
         a_seas, phi = theta["a_seas"], theta["phi"]
         beta_w, wsat, beta = theta["beta_w"], theta["wsat"], theta["beta"]
@@ -141,6 +148,11 @@ def build_model2(
         f3, mu_ei3, mu_ir3, mu_rs3 = (
             np.asarray(theta[k])[..., None] for k in ("f", "mu_ei", "mu_ir", "mu_rs")
         )
+        # exit rates of S (infection, written per stage), E, I, A, R and RA
+        rates = np.empty((J, U, 6, N_COHORTS))
+        rates[:, :, 1:] = np.stack(np.broadcast_arrays(mu_ei3, mu_ir3, mu_ir3, mu_rs3, mu_rs3), axis=-2)
+        # E -> I and E -> A rates
+        onset = np.stack(np.broadcast_arrays(f3 * mu_ei3, (1.0 - f3) * mu_ei3), axis=-2)
         # vaccine-protection waning rates of cohorts 1..4
         om1, om2 = theta["omega1"], theta["omega2"]
         om = np.stack(np.broadcast_arrays(om1, om2, om1, om2), axis=-1)
@@ -148,40 +160,29 @@ def build_model2(
         v_rate = np.asarray(theta["v_rate"])
         if np.any(v_rate != v_rate.flat[0]):
             raise ValidationError("model2 takes one v_rate for every particle; a search cannot perturb it")
-        T = geo.gravity_matrix(float(v_rate.flat[0]))
-        T_out = T.sum(axis=1)
-        TW = geo.river_flows
-        TW_out = TW.sum(axis=1)
+        T, T_out = gravity(float(v_rate.flat[0]))
 
         def deriv(tt, Yf):
             Yv = Yf.reshape(J, U, V)
-            S = Yv[:, :, S_cols]
-            E = Yv[:, :, E_cols]
-            I = Yv[:, :, I_cols]
-            A = Yv[:, :, A_cols]
-            R = Yv[:, :, R_cols]
-            RA = Yv[:, :, RA_cols]
+            persons = Yv[:, :, :N_PERSONS]
+            P = persons.reshape(J, U, 6, N_COHORTS)  # S, E, I, A, R, RA by cohort
+            S, E = P[:, :, 0], P[:, :, 1]
             W = Yv[:, :, iW]
-            lam = model2_force_of_infection(
-                W, I.sum(-1), A.sum(-1), tt, a_seas, phi, beta_w, wsat, beta, eps
-            )  # (J, U)
-            effective = lam[:, :, None] * (1.0 - COHORT_EFFICACY[None, None, :])
-            inf_flow = effective * S  # (J, U, 5)
+            i_total, a_total = P[:, :, 2].sum(-1), P[:, :, 3].sum(-1)  # infection and shedding
+            lam = model2_force_of_infection(W, i_total, a_total, tt, a_seas, phi, beta_w, wsat, beta, eps)
+            np.multiply(lam[:, :, None], susceptibility, out=rates[:, :, 0])
+            outflow = rates * P
+            # R, RA -> S; S -> E; E -> I, A; I -> R; A -> RA
+            inflow = np.empty_like(outflow)
+            np.multiply(mu_rs3, P[:, :, 4] + P[:, :, 5], out=inflow[:, :, 0])
+            inflow[:, :, 1] = outflow[:, :, 0]
+            np.multiply(onset, E[:, :, None], out=inflow[:, :, 2:4])
+            inflow[:, :, 4:] = outflow[:, :, 2:4]
 
-            d = np.zeros_like(Yv)
-            dS = d[:, :, S_cols]
-            dE = d[:, :, E_cols]
-            dI = d[:, :, I_cols]
-            dA = d[:, :, A_cols]
-            dR = d[:, :, R_cols]
-            dRA = d[:, :, RA_cols]
-
-            dS[:] = -inf_flow + mu_rs3 * (R + RA)
-            dE[:] = inf_flow - mu_ei3 * E
-            dI[:] = f3 * mu_ei3 * E - mu_ir3 * I
-            dA[:] = (1.0 - f3) * mu_ei3 * E - mu_ir3 * A
-            dR[:] = mu_ir3 * I - mu_rs3 * R
-            dRA[:] = mu_ir3 * A - mu_rs3 * RA
+            d = np.empty_like(Yv)
+            dP = d[:, :, :N_PERSONS].reshape(J, U, 6, N_COHORTS)
+            np.subtract(inflow, outflow, out=dP)
+            dS = dP[:, :, 0]
             # waning of vaccine protection back to cohort 0
             wane = om * S[:, :, 1:]
             dS[:, :, 1:] -= wane
@@ -194,17 +195,13 @@ def build_model2(
                 dS[:, :, 0] -= vacc.sum(-1)
                 dS[:, :, 1:] += vacc
             # gravity transport of every person compartment
-            for block, dblock in ((S, dS), (E, dE), (I, dI), (A, dA), (R, dR), (RA, dRA)):
-                dblock += np.einsum("vu,jvz->juz", T, block) - block * T_out[None, :, None]
+            d[:, :, :N_PERSONS] += np.einsum("vu,jvc->juc", T, persons) - persons * T_out
             # water dynamics and transport
-            shed = mu_w * (I.sum(-1) + eps_w * A.sum(-1))
-            d[:, :, iW] = (
-                shed
-                - delta_w * W
-                + w_r * (np.einsum("vu,jv->ju", TW, W) - W * TW_out[None, :])
-            )
-            d[:, :, iCI] = (f3 * mu_ei3 * E).sum(-1)
-            d[:, :, iTI] = inf_flow.sum(-1)
+            shed = mu_w * (i_total + eps_w * a_total)
+            d[:, :, iW] = shed - delta_w * W + w_r * (np.einsum("vu,jv->ju", TW, W) - W * TW_out)
+            d[:, :, iCI] = inflow[:, :, 2].sum(-1)
+            d[:, :, iTI] = outflow[:, :, 0].sum(-1)
+            d[:, :, iCL] = 0.0
             return d.reshape(J, U * V)
 
         out = rk4_step(deriv, t, X, dt)

@@ -6,8 +6,10 @@ import pytest
 from conftest import mc_se_mean
 from oracles import person_total
 
+from epipomp import euler, optimize
 from epipomp.errors import ValidationError
 from epipomp.grid import weekly_grid
+from epipomp.haiti import model2
 from epipomp.haiti.geography import GeographyData, synthetic_geography
 from epipomp.haiti.model2 import (
     COHORT_EFFICACY,
@@ -17,7 +19,23 @@ from epipomp.haiti.model2 import (
 )
 from epipomp.measures import lognormal_case_logpdf, norm_logpdf
 from epipomp.model import compile_theta, make_rng, simulate
+from epipomp.optimize import deterministic_loglik, trajectory_match
 from epipomp.units import WEEK, per_week
+
+CASES = np.array([100, 20, 0, 0, 30, 5, 15, 200, 10, 8], float)
+
+
+def record_gravity_builds(monkeypatch) -> list[float]:
+    """Patch ``GeographyData.gravity_matrix`` to record the v_rate of every build."""
+    built = []
+    build = GeographyData.gravity_matrix
+
+    def recording(self, v_rate):
+        built.append(v_rate)
+        return build(self, v_rate)
+
+    monkeypatch.setattr(GeographyData, "gravity_matrix", recording)
+    return built
 
 
 class TestForceOfInfection:
@@ -80,6 +98,41 @@ class TestGravity:
         with pytest.raises(ValidationError, match="v_rate"):
             m.step(X, 0.0, WEEK / 7, theta, None, None)
 
+    @pytest.fixture(scope="class")
+    def four_weeks(self):
+        geo = synthetic_geography()
+        grid = weekly_grid(4)
+        m = build_model2(CASES, geo)
+        return geo, grid, simulate(m, m.params, grid, n_sims=1, seed=0).observation_series(0)
+
+    def test_matrix_is_built_once_for_a_fixed_v_rate(self, four_weeks, monkeypatch):
+        # 4 weeks are 28 RK4 steps; all of them share one matrix
+        geo, grid, data = four_weeks
+        m = build_model2(CASES, geo)
+        built = record_gravity_builds(monkeypatch)
+        deterministic_loglik(m, m.params, data, grid)
+        assert built == [m.params["v_rate"]]
+
+    def test_v_rate_search_rebuilds_the_matrix_for_each_new_value(self, four_weeks, monkeypatch):
+        geo, grid, data = four_weeks
+        m = build_model2(CASES, geo)
+        evaluated = []
+        loglik = optimize.deterministic_loglik
+
+        def recording(model, params, *args):
+            evaluated.append(params["v_rate"])
+            return loglik(model, params, *args)
+
+        monkeypatch.setattr(optimize, "deterministic_loglik", recording)
+        built = record_gravity_builds(monkeypatch)
+        start = m.params.replace({"v_rate": 3e-12})
+        res = trajectory_match(m, data, grid, None, start, free=["v_rate"])
+        # one build per change of value: an evaluation at the value just used builds none
+        assert built == [v for k, v in enumerate(evaluated) if k == 0 or v != evaluated[k - 1]]
+        assert len(set(built)) > 10
+        # the search's result, pinned bit for bit
+        assert (res.loglik, res.n_eval) == (-63.974399676759596, 147)
+
 
 class TestSkeletonProperties:
     @pytest.fixture(scope="class")
@@ -104,6 +157,36 @@ class TestSkeletonProperties:
         res = simulate(m, m.params, grid, n_sims=1, seed=0)
         pt = person_total(res.states[0], geo)
         assert np.max(np.abs(pt - pt[0])) / pt[0] < 1e-8
+
+    def test_clamp_records_the_mass_it_adds(self, geo, monkeypatch):
+        # one week in a single RK4 step overshoots below zero in several
+        # person compartments; the accumulators start high, so that only
+        # person compartments are clipped
+        m = build_model2(CASES, geo)
+        theta = compile_theta(m, m.params)
+        X = m.rinit(theta, 1, None)
+        ci, ti, cl = (
+            [m.state_names.index(f"{c}[{u}]") for u in geo.units] for c in ("CI", "TI", "CLAMP")
+        )
+        X[:, ci + ti] = 1e9
+        X[:, cl] = 5.0
+        raw = []
+
+        def recording(f, t, y, dt):
+            raw.append(euler.rk4_step(f, t, y, dt))
+            return raw[-1]
+
+        monkeypatch.setattr(model2, "rk4_step", recording)
+        out = m.step(X.copy(), 0.0, WEEK, theta, None, None)
+        (raw,) = raw
+        assert np.any(raw < 0.0) and np.all(out >= 0.0)
+        clipped = np.where(raw < 0.0, -raw, 0.0).reshape(1, geo.n_units, -1).sum(axis=2)
+        np.testing.assert_array_equal(out[:, cl], X[:, cl] + clipped)
+        # clipping adds mass to the persons and records it in CLAMP
+        assert person_total(raw, geo)[0] < person_total(out, geo)[0]
+        kept = person_total(out, geo) - (out[:, cl] - X[:, cl]).sum(axis=1)
+        pt = person_total(X, geo)
+        assert np.max(np.abs(kept - pt)) / pt[0] < 1e-8
 
     def test_waning_immunity_magnitude(self):
         params = default_params()

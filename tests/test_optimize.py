@@ -85,12 +85,6 @@ class TestSearchOutsideTheDomain:
         assert 0.0 <= res.best["a_seas"] < 1.0
         assert res.loglik >= deterministic_loglik(m, start, data, grid)
 
-    def test_start_outside_the_domain_is_refused(self):
-        m, grid, data = M2_SKELETON
-        start = m.params.replace({"a_seas": 1.2})
-        with pytest.raises(ValidationError, match=r"seasonal amplitude must lie in \[0, 1\)"):
-            trajectory_match(m, data, grid, None, start, free=["a_seas"])
-
 
 class TestDeterministicLoglik:
     def test_matches_single_particle_filter(self):

@@ -150,9 +150,11 @@ def build_model2(
         )
         # exit rates of S (infection, written per stage), E, I, A, R and RA
         rates = np.empty((J, U, 6, N_COHORTS))
-        rates[:, :, 1:] = np.stack(np.broadcast_arrays(mu_ei3, mu_ir3, mu_ir3, mu_rs3, mu_rs3), axis=-2)
+        rates[:, :, 1] = mu_ei3
+        rates[:, :, 2:4] = mu_ir3[..., None, :]
+        rates[:, :, 4:] = mu_rs3[..., None, :]
         # E -> I and E -> A rates
-        onset = np.stack(np.broadcast_arrays(f3 * mu_ei3, (1.0 - f3) * mu_ei3), axis=-2)
+        onset = np.stack((f3 * mu_ei3, (1.0 - f3) * mu_ei3), axis=-2)
         # vaccine-protection waning rates of cohorts 1..4
         om1, om2 = theta["omega1"], theta["omega2"]
         om = np.stack(np.broadcast_arrays(om1, om2, om1, om2), axis=-1)

@@ -78,6 +78,11 @@ RUNS: dict[str, list[str]] = {
                                  "--set", "data.weeks=[0,20]", "--set", "forecast.J=30",
                                  "--set", "forecast.n_sims=5", "--set", "forecast.horizon_weeks=52",
                                  "--set", "forecast.window=10"],
+    # the same forecast under vaccination, so model1's cohort branch runs
+    "forecast-model1-V4-weeks": ["forecast", "--seed", "0", "--set", "model=model1",
+                                 "--set", "data.weeks=[0,20]", "--set", "forecast.J=30",
+                                 "--set", "forecast.n_sims=5", "--set", "forecast.horizon_weeks=52",
+                                 "--set", "forecast.window=10", "--set", "forecast.scenario=V4"],
     "forecast-model2-projection": ["forecast", "--seed", "0", "--set", "model=model2",
                                    "--set", "data.weeks=[0,4]",
                                    "--set", "forecast.horizon_weeks=52"],

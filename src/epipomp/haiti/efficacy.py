@@ -59,16 +59,15 @@ class EfficacyCurve:
         out = table[idx]
         return np.where(w < 0, 0.0, out)
 
-    def protection(self, weeks_since, doses: int) -> np.ndarray:
+    def protection(self, weeks_since, doses) -> np.ndarray:
         """Adult protection theta*(w): the two-dose curve, truncated to zero
-        at 52 weeks for single-dose recipients."""
-        base = self._lookup(self.two_dose, weeks_since)
-        if doses == 1:
-            w = np.asarray(weeks_since, dtype=float)
-            base = np.where(w >= ONE_DOSE_CUTOFF_WEEKS, 0.0, base)
-        elif doses != 2:
+        at 52 weeks for single-dose recipients. ``doses`` (1 or 2) broadcasts
+        against ``weeks_since``."""
+        doses = np.asarray(doses)
+        if not np.all((doses == 1) | (doses == 2)):
             raise ValidationError(f"doses must be 1 or 2, got {doses}")
-        return base
+        w = np.asarray(weeks_since, dtype=float)
+        return np.where((doses == 1) & (w >= ONE_DOSE_CUTOFF_WEEKS), 0.0, self._lookup(self.two_dose, w))
 
 
 def default_curve() -> EfficacyCurve:

@@ -59,6 +59,12 @@ def model1_force_of_infection(i_total, a_total, noise_factor, beta_wk, n_alive, 
     return burden**nu * noise_factor * (beta_wk * WEEKS_PER_YEAR) / np.maximum(n_alive, 1.0)
 
 
+def _total(flows: np.ndarray) -> np.ndarray:
+    """Integer flows summed over the last axis: exact, and several times
+    faster through einsum than ``sum(axis=-1)`` on these short axes."""
+    return np.einsum("...k->...", flows)
+
+
 def default_params(pop: float | None = None) -> ParameterSet:
     """Table point estimates; time-denominated rates converted to per year."""
     pop = float(pop) if pop is not None else national_population()
@@ -122,132 +128,101 @@ def build_model1(
 
     comp = ("S", "E", "I", "A", "R")
     state_names = tuple(f"{c}{z}" for c in comp for z in range(Z1)) + ("CI", "TI")
-    iS, iE, iI, iA, iR = (np.arange(Z1) + k * Z1 for k in range(5))
-    iCI, iTI = 5 * Z1, 5 * Z1 + 1
-
-    dose_type = schedule.dose_type.astype(int)
-    tau = schedule.cohort_start[0] if Z else np.zeros(0)
-
-    def symptomatic_fractions(t: float) -> np.ndarray:
-        """f_z(t) for z = 1..Z: the age-corrected protection since tau_z."""
-        if Z == 0:
-            return np.zeros(0)
-        weeks_since = (t - tau) / WEEK
-        out = np.empty(Z)
-        for z in range(Z):
-            out[z] = AGE_CORRECTION * curve.protection(weeks_since[z], dose_type[z])
-        return out
+    n_persons = 5 * Z1
+    iCI, iTI = n_persons, n_persons + 1
+    SIAR = [0, 2, 3, 4]  # the compartments drawn together; E is drawn on its own
+    tau = schedule.cohort_start[0]
 
     def phase_value(theta, t: float, epi: str, end: str):
         return theta[epi] if t < brk else theta[end]
 
-    # parameters and particle totals are (J, 1) columns; X[:, iS[:1]] is cohort 0
+    # persons X[:, :n_persons] are viewed as (J, 5, Z + 1): S, E, I, A, R by
+    # cohort; parameters and particle totals are (J, 1) columns
     def rinit(theta, J, rng):
         pop_v = np.broadcast_to(theta["pop"], (J, 1))
         i0 = np.round(pop_v * theta["i0_frac"])
         e0 = np.round(pop_v * theta["e0_frac"])
         X = np.zeros((J, len(state_names)))
-        X[:, iS[:1]] = np.round(pop_v) - i0 - e0
-        X[:, iE[:1]] = e0
-        X[:, iI[:1]] = i0
+        P = X[:, :n_persons].reshape(J, 5, Z1)
+        P[:, 0, :1] = np.round(pop_v) - i0 - e0
+        P[:, 1, :1] = e0
+        P[:, 2, :1] = i0
         return X
 
     def step(X, t, dt, theta, covs, rng):
         J = X.shape[0]
-        S = X[:, iS].astype(np.int64)
-        E = X[:, iE].astype(np.int64)
-        I = X[:, iI].astype(np.int64)
-        A = X[:, iA].astype(np.int64)
-        R = X[:, iR].astype(np.int64)
-        n_alive = (S + E + I + A + R).sum(axis=1, keepdims=True)
+        P = X[:, :n_persons].reshape(J, 5, Z1).astype(np.int64)
+        n_alive = _total(P.reshape(J, n_persons))[:, None]
 
         coeffs = [theta[f"beta{j + 1}"] for j in range(N_BASIS)]
         beta_wk = seasonal_beta(t, coeffs, theta["zeta"], t0_w, t_end_w)
         sigma2 = weekly_variance(np.square(phase_value(theta, t, "sigma_proc_epi", "sigma_proc_end")))
         noise = gamma_increment(np.full((J, 1), dt), np.broadcast_to(sigma2, (J, 1)), rng) / dt
         lam = model1_force_of_infection(
-            I.sum(axis=1, keepdims=True), A.sum(axis=1, keepdims=True), noise, beta_wk,
+            P[:, 2].sum(axis=1, keepdims=True), P[:, 3].sum(axis=1, keepdims=True), noise, beta_wk,
             n_alive, theta["epsilon"], theta["nu"],
         )
-
         mu_ei = theta["mu_ei"]
-        mu_ir = theta["mu_ir"]
         death = theta["delta"]
-        fz = symptomatic_fractions(t)
 
         # cohort-0 vaccination: per-capita rate toward each active cohort
         if Z:
             dosing = schedule.rates_at(t)[0] * WEEKS_PER_YEAR  # persons/yr per cohort
-            n0 = np.maximum(S[:, :1] + E[:, :1] + I[:, :1] + A[:, :1] + R[:, :1], 1)
-            eta = dosing[None, :] / n0  # (J, Z)
+            eta = dosing[None, :] / np.maximum(_total(P[:, :, 0])[:, None], 1)  # (J, Z)
         else:
             eta = np.zeros((J, 0))
 
-        newS = S.copy()
-        newE = E.copy()
-        newI = I.copy()
-        newA = A.copy()
-        newR = R.copy()
         # S, I, A and R leave toward (next compartment, each cohort, death);
         # E, toward (I, A, each cohort, death), is drawn on its own
-        onward = np.hstack(np.broadcast_arrays(lam, mu_ir, mu_ir, theta["mu_rs"]))  # (J, 4)
+        siar = P[:, SIAR]  # (J, 4, Z + 1)
+        onward = np.hstack(np.broadcast_arrays(lam, theta["mu_ir"], theta["mu_ir"], theta["mu_rs"]))  # (J, 4)
 
         # cohort 0: one draw for S, I, A and R, counts (J, 4), rates (J, 4, 2 + Z)
         rates0 = np.empty((J, 4, 2 + Z))
         rates0[:, :, 0] = onward
         rates0[:, :, 1 : 1 + Z] = eta[:, None, :]
         rates0[:, :, 1 + Z] = death
-        flows0 = euler_multinomial(np.stack([S[:, 0], I[:, 0], A[:, 0], R[:, 0]], axis=-1), rates0, dt, rng)
-        s0, i0, a0, r0 = (flows0[:, c] for c in range(4))
-        out0 = flows0.sum(axis=-1)  # (J, 4): leaving S, I, A, R
+        flows0 = euler_multinomial(siar[:, :, 0], rates0, dt, rng)
         e_exits = np.hstack([np.broadcast_to(mu_ei, (J, 1)), np.zeros((J, 1)), eta, np.broadcast_to(death, (J, 1))])
-        e0 = euler_multinomial(E[:, 0], e_exits, dt, rng)
-        newS[:, 0] += -out0[:, 0] + r0[:, 0]
-        newE[:, 0] += s0[:, 0] - e0.sum(axis=-1)
-        newI[:, 0] += e0[:, 0] - out0[:, 1]
-        newA[:, 0] += e0[:, 1] - out0[:, 2]
-        newR[:, 0] += i0[:, 0] + a0[:, 0] - out0[:, 3]
-        newS[:, 1:] += s0[:, 1 : 1 + Z]
-        newE[:, 1:] += e0[:, 2 : 2 + Z]
-        newI[:, 1:] += i0[:, 1 : 1 + Z]
-        newA[:, 1:] += a0[:, 1 : 1 + Z]
-        newR[:, 1:] += r0[:, 1 : 1 + Z]
-        new_inf = s0[:, 0].astype(float)
-        new_sympt = e0[:, 0].astype(float)
+        e0 = euler_multinomial(P[:, 1, 0], e_exits, dt, rng)
 
         if Z:
-            # vaccinated cohorts progress within-cohort; f_z splits E exits.
+            # vaccinated cohorts progress within-cohort; f_z splits E exits,
+            # the age-corrected protection since each cohort's start tau_z.
             # One draw for S, I, A and R: counts (J, 4, Z), rates (J, 4, Z, 2)
             ratesZ = np.empty((J, 4, Z, 2))
             ratesZ[..., 0] = onward[:, :, None]
             ratesZ[..., 1] = np.asarray(death)[..., None]
-            flowsZ = euler_multinomial(np.stack([S[:, 1:], I[:, 1:], A[:, 1:], R[:, 1:]], axis=1), ratesZ, dt, rng)
-            sz, iz, az, rz = (flowsZ[:, c] for c in range(4))
-            outZ = flowsZ.sum(axis=-1)  # (J, 4, Z)
+            flowsZ = euler_multinomial(siar[:, :, 1:], ratesZ, dt, rng)
+            fz = AGE_CORRECTION * curve.protection((t - tau) / WEEK, schedule.dose_type)
             ez = euler_multinomial(
-                E[:, 1:],
-                np.stack(np.broadcast_arrays(mu_ei * (1.0 - fz), mu_ei * fz, death), axis=-1),
-                dt, rng,
+                P[:, 1, 1:], np.stack(np.broadcast_arrays(mu_ei * (1.0 - fz), mu_ei * fz, death), axis=-1), dt, rng
             )
-            newS[:, 1:] += -outZ[:, 0] + rz[:, :, 0]
-            newE[:, 1:] += sz[:, :, 0] - ez.sum(axis=-1)
-            newI[:, 1:] += ez[:, :, 0] - outZ[:, 1]
-            newA[:, 1:] += ez[:, :, 1] - outZ[:, 2]
-            newR[:, 1:] += iz[:, :, 0] + az[:, :, 0] - outZ[:, 3]
-            new_inf = new_inf + sz[:, :, 0].sum(axis=1)
-            new_sympt = new_sympt + ez[:, :, 0].sum(axis=1)
-
+        else:
+            flowsZ, ez = np.zeros((J, 4, 0, 2), np.int64), np.zeros((J, 0, 3), np.int64)
         births = poisson_inflow(theta["mu_birth"] * n_alive, dt, rng)
-        newS[:, :1] += births
+
+        # every cohort's flows S->E, I->R, A->R, R->S (J, 4, Z + 1) and
+        # E->I, E->A (J, Z + 1, 2); P, a copy, becomes the new persons:
+        # less the totals leaving each compartment, plus each inflow
+        siar_on = np.concatenate([flows0[:, :, :1], flowsZ[..., 0]], axis=2)
+        e_on = np.concatenate([e0[:, None, :2], ez[..., :2]], axis=1)
+        P[:, SIAR] -= np.concatenate([_total(flows0)[..., None], _total(flowsZ)], axis=2)
+        P[:, 1] -= np.concatenate([_total(e0)[:, None], _total(ez)], axis=1)
+        P[:, 0] += siar_on[:, 3]
+        P[:, 1] += siar_on[:, 0]
+        P[:, 2] += e_on[..., 0]
+        P[:, 3] += e_on[..., 1]
+        P[:, 4] += siar_on[:, 1] + siar_on[:, 2]
+        # cohort 0 -> z vaccination moves, then births into S0
+        P[:, SIAR, 1:] += flows0[:, :, 1 : 1 + Z]
+        P[:, 1, 1:] += e0[:, 2 : 2 + Z]
+        P[:, 0, :1] += births
 
         out = X.copy()
-        out[:, iS] = newS
-        out[:, iE] = newE
-        out[:, iI] = newI
-        out[:, iA] = newA
-        out[:, iR] = newR
-        out[:, iCI] = X[:, iCI] + new_sympt
-        out[:, iTI] = X[:, iTI] + new_inf
+        out[:, :n_persons] = P.reshape(J, n_persons)
+        out[:, iCI] = X[:, iCI] + e_on[..., 0].sum(axis=1)
+        out[:, iTI] = X[:, iTI] + siar_on[:, 0].sum(axis=1)
         return out
 
     def dunit(y, X, t, theta):

@@ -111,7 +111,6 @@ def build_model3(
     schedule = schedule if schedule is not None else empty_schedule(units)
     curve = curve or default_curve()
     Z = schedule.n_cohorts
-    dose_type = schedule.dose_type.astype(int)
     pops = np.round(geo.populations)
     dens = geo.densities
 
@@ -135,10 +134,7 @@ def build_model3(
         """
         out = protection_at.get(t)
         if out is None:
-            weeks_since = (t - schedule.cohort_start) / WEEK  # (U, Z)
-            out = np.empty((U, Z))
-            for z in range(Z):
-                out[:, z] = AGE_CORRECTION * curve.protection(weeks_since[:, z], dose_type[z])
+            out = AGE_CORRECTION * curve.protection((t - schedule.cohort_start) / WEEK, schedule.dose_type)
             out.flags.writeable = False
             protection_at[t] = out
         return out

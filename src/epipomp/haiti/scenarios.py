@@ -187,7 +187,7 @@ def _schedule_model3(scenario: ScenarioSpec, units: list[str], origin: float) ->
     windows = np.zeros((U, Z, 2))
     rates = np.zeros((U, Z))
     start = np.full((U, Z), np.inf)
-    dose = np.array([(z % 2) + 1 for z in range(Z)], dtype=float)
+    dose = np.arange(Z) % 2 + 1.0
     for u, uname in enumerate(units):
         for j, r in enumerate(sorted(by_unit[uname], key=lambda r: r.start)):
             t0 = origin + r.start

@@ -123,6 +123,17 @@ class TestEfficacy:
         assert np.all(curve.protection(w_after, 1) == 0.0)
         assert curve.protection(np.array([100.0]), 2)[0] > 0.0
 
+    def test_doses_broadcast_against_weeks_and_are_1_or_2(self):
+        curve = default_curve()
+        weeks = np.array([[10.0, 60.0], [300.0, -1.0], [51.0, 52.0]])
+        doses = np.array([1.0, 2.0])
+        got = curve.protection(weeks, doses)
+        for k in range(2):
+            np.testing.assert_array_equal(got[:, k], curve.protection(weeks[:, k], doses[k]))
+        for bad in (3, np.array([1, 0])):
+            with pytest.raises(ValidationError, match="doses must be 1 or 2"):
+                curve.protection(weeks, bad)
+
     def test_negative_elapsed_time_means_no_protection(self):
         curve = default_curve()
         assert curve.protection(np.array([-5.0]), 2)[0] == 0.0

@@ -20,6 +20,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import math
 import sys
 import time
 from collections.abc import Callable
@@ -84,18 +85,6 @@ DEFAULTS: dict = {
                  "candidates": None},
 }
 
-COMMANDS = (
-    "simulate",
-    "filter",
-    "fit-if2",
-    "fit-ibpf",
-    "fit-traj",
-    "benchmark",
-    "profile",
-    "mcap",
-    "forecast",
-)
-
 STOCHASTIC_COMMANDS = {"simulate", "filter", "fit-if2", "fit-ibpf", "profile", "forecast"}
 
 TOY_MODELS = {
@@ -156,7 +145,10 @@ def _is_count(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite number: JSON's NaN and Infinity are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
 
 
 def _is_str(value) -> bool:
@@ -183,7 +175,7 @@ def _is_linspace(value) -> bool:
 # what a setting takes, by the type of its default; a null default also takes null
 _TAKES = {
     bool: (lambda value: isinstance(value, bool), "true or false"),
-    int: (_is_int, "an integer"),
+    int: (_is_count, "an integer >= 1"),  # every integer default is a count
     float: (_is_number, "a number"),
     str: (lambda value: value is None or _is_str(value), "a string or null"),
     type(None): (_is_str, "a string or null"),
@@ -193,31 +185,20 @@ _TAKES = {
 _SHAPES = {
     "model": (lambda value: value in MODELS, f"one of {list(MODELS)}"),
     "seed": (lambda value: _is_int(value) and value >= 0, "a nonnegative integer or null"),
-    "workers": (_is_count, "an integer >= 1"),
     "data.weeks": (lambda value: _list_of(_is_int)(value) and len(value) == 2,
                    "a list of two integers [start, stop] or null"),
     "data.hurricane_date": (lambda value: value is None or _is_date(value), "an ISO-8601 date or null"),
     "data.phase_break_date": (_is_date, "an ISO-8601 date or null"),
     "grid.steps_per_week": (_is_count, "an integer >= 1 or null"),
-    "simulate.n_sims": (_is_count, "an integer >= 1"),
-    "simulate.horizon_weeks": (_is_count, "an integer >= 1"),
-    "filter.J": (_is_count, "an integer >= 1"),
-    "fit.J": (_is_count, "an integer >= 1"),
-    "fit.M": (_is_count, "an integer >= 1"),
     "fit.cooling": (lambda value: _is_number(value) and 0 < value <= 1, "a number in (0, 1]"),
     "fit.eval_particles": (_is_count, "an integer >= 1 or null"),
     "blocks": (_list_of(_list_of(_is_str)), "a list of lists of unit names or null"),
     "fit_traj.free": (_list_of(_is_str), "a list of parameter names"),
     "profile.values": (lambda value: _list_of(_is_number)(value) or _is_linspace(value),
                        'a list of numbers or {"lo": number, "hi": number, "n": integer >= 1}'),
-    "profile.replicates": (_is_count, "an integer >= 1"),
     "profile.method": (lambda value: value in ("if2", "traj"), "'if2' or 'traj'"),
     "mcap.confidence": (lambda value: _is_number(value) and 0 < value < 1, "a number in (0, 1)"),
     "mcap.span": (lambda value: _is_number(value) and 0 < value <= 1, "a number in (0, 1]"),
-    "forecast.n_sims": (_is_count, "an integer >= 1"),
-    "forecast.horizon_weeks": (_is_count, "an integer >= 1"),
-    "forecast.J": (_is_count, "an integer >= 1"),
-    "forecast.window": (_is_count, "an integer >= 1"),
 }
 
 
@@ -946,7 +927,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="epipomp",
         description="Simulation and likelihood-based inference for POMP epidemic models.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=list(HANDLERS))
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory for stochastic commands)")
     parser.add_argument("--workers", type=int, default=None, help="parallel workers for job-level parallelism")

@@ -33,7 +33,7 @@ from .errors import ValidationError
 from .filtering import _filter_pass, particle_filter, resolve_blocks, systematic_indices
 from .grid import TimeGrid
 from .model import PompModel, advance, compile_theta, make_rng
-from .params import ParameterSet, check_domain, from_estimation, split_key, to_estimation
+from .params import ParameterSet, from_estimation, split_key
 from .series import CovariateTable, ObservationSeries
 
 
@@ -44,9 +44,8 @@ class If2Settings:
     ``rw_sd`` maps searched parameter names (shared names, unit-specific
     keys ``"name[unit]"``, or family bases covering every unit) to their
     random-walk standard deviation on the estimation scale. ``cooling`` is
-    the fraction of the initial sd remaining after 50 iterations.
-    ``hypercube`` optionally samples the initial swarm uniformly (natural
-    scale) instead of starting every particle at ``initial``.
+    the fraction of the initial sd remaining after 50 iterations. Every
+    particle starts at ``initial``.
     """
 
     J: int
@@ -54,7 +53,6 @@ class If2Settings:
     rw_sd: Mapping[str, float]
     cooling: float = 0.5
     initial: ParameterSet | None = None
-    hypercube: Mapping[str, tuple[float, float]] | None = None
     eval_particles: int | None = None
 
     def __post_init__(self) -> None:
@@ -63,8 +61,8 @@ class If2Settings:
         if not 0.0 < self.cooling <= 1.0:
             raise ValidationError("cooling fraction must lie in (0, 1]")
         for k, v in self.rw_sd.items():
-            if v < 0.0:
-                raise ValidationError(f"rw sd for {k!r} must be >= 0")
+            if not 0.0 <= v < np.inf:
+                raise ValidationError(f"rw sd for {k!r} must be finite and >= 0, got {v}")
         if self.eval_particles is not None and self.eval_particles < 1:
             raise ValidationError("eval_particles must be >= 1 when given")
 
@@ -250,24 +248,10 @@ def _iterated_filter(
     layout = _expand_search(model, params, settings.rw_sd, blocks)
 
     children = np.random.SeedSequence(seed).spawn(2 * M + 1)
-    init_rng = make_rng(children[0])
 
-    # initial swarm on the estimation scale
+    # initial swarm on the estimation scale; children[0] is left unused, so
+    # the pass and evaluation seeds keep their indices
     est = np.tile(params.to_est(layout.keys), (B, J, 1))
-    for name, (lo, hi) in (settings.hypercube or {}).items():
-        matches = [i for i, k in enumerate(layout.keys) if k == name or split_key(k)[0] == name]
-        if not matches:
-            raise ValidationError(f"hypercube names unsearched parameter {name!r}")
-        for ci in matches:
-            tr = layout.transforms[ci]
-            try:  # both bounds inside the transform's domain, as a parameter value must be
-                check_domain(lo, tr)
-                check_domain(hi, tr)
-            except ValidationError as err:
-                raise ValidationError(f"hypercube for {name!r}: {err}") from None
-            if lo > hi:
-                raise ValidationError(f"hypercube for {name!r}: lower bound {lo} exceeds upper bound {hi}")
-            est[:, :, ci] = to_estimation(init_rng.uniform(lo, hi, size=J), tr)
 
     trace: list[IterationRecord] = []
     best: tuple[float, ParameterSet] | None = None

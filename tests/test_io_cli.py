@@ -689,6 +689,8 @@ class TestConfigFaults:
         [
             ("fit-if2", "fit.eval_particles=abc", "fit.eval_particles"),
             ("fit-if2", 'fit.rw_sd={"beta": "x"}', "fit.rw_sd.beta"),
+            ("fit-if2", 'fit.rw_sd={"beta": NaN}', "fit.rw_sd.beta"),
+            ("fit-if2", 'fit.rw_sd={"beta": Infinity}', "fit.rw_sd.beta"),
             ("fit-if2", "fit.rw_sd=[1]", "fit.rw_sd"),
             ("fit-ibpf", "blocks=5", "blocks"),
             ("profile", "profile.values=5", "profile.values"),

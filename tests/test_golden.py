@@ -50,6 +50,9 @@ _PROFILE = _TOY + [
 
 # name -> command line without --out; "{cases}" and "{profile}" name the inputs above
 RUNS: dict[str, list[str]] = {
+    # the AR-NB benchmark of every department, so the restarted simplex runs in 3-d
+    "benchmark-per-unit": ["benchmark", "--set", "benchmark.per_unit=true",
+                           "--set", "data.weeks=[0,20]"],
     "filter-model1": ["filter", "--seed", "0", "--set", "model=model1",
                       "--set", "filter.J=100", "--set", "data.weeks=[0,30]"],
     "filter-model3-2blocks": ["filter", "--seed", "0", "--set", "model=model3",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from epipomp.errors import ValidationError
 from epipomp.euler import (
     euler_multinomial,
+    exit_probabilities,
     gamma_increment,
     poisson_inflow,
     rk4_step,
@@ -154,6 +155,28 @@ class TestEulerMultinomial:
         p = 1.0 - np.exp(-mu * delta)
         binom_var = X * p * (1 - p)
         assert flows.var(ddof=1) - binom_var > 3 * mc_se_variance(flows)
+
+
+def summed_exit_probabilities(rates, delta):
+    """``exit_probabilities`` with the total taken by ``sum`` over the destinations."""
+    total = rates.sum(axis=-1, keepdims=True)
+    frac = np.divide(rates, total, out=np.zeros_like(rates), where=total > 0.0)
+    return -np.expm1(-total * delta) * frac
+
+
+class TestExitProbabilities:
+    # destination counts the models draw with: toys 1; model1 2, 3, 6, 7;
+    # model3 2, 3, 6; with the leading shapes of their counts
+    @pytest.mark.parametrize("K", [1, 2, 3, 6, 7])
+    @pytest.mark.parametrize("lead", [(1000,), (200, 10), (50, 4, 5), (30, 10, 4, 5)])
+    def test_probabilities_keep_the_bits_of_a_summed_total(self, K, lead):
+        # compared as bits, not flows: a one-ulp move in p seldom moves a draw
+        rng = np.random.Generator(np.random.Philox(K))
+        rates = rng.exponential(size=lead + (K,)) * 10.0 ** rng.integers(-12, 4, size=lead + (K,))
+        rates[rng.random(lead + (K,)) < 0.2] = 0.0
+        for r in (rates, rates[0], np.broadcast_to(rates[:1], rates.shape)):
+            got = exit_probabilities(r, 1.0 / 365.25)
+            assert got.tobytes() == summed_exit_probabilities(r, 1.0 / 365.25).tobytes()
 
 
 class TestPoissonInflow:

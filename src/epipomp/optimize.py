@@ -33,6 +33,85 @@ class OptimResult:
     restarts: int
 
 
+def _nelder_mead(
+    f: Callable[[np.ndarray], float], x0: np.ndarray, xatol: float, fatol: float, maxiter: int
+) -> tuple[np.ndarray, np.float64, int]:
+    """One Nelder-Mead solve from ``x0``: the minimizer, its value and the
+    number of evaluations of ``f``.
+
+    A port of the path that scipy 1.17.1's
+    ``minimize(f, x0, method="Nelder-Mead", options={"xatol", "fatol",
+    "maxiter"})`` takes: the default initial simplex, the standard
+    coefficients (reflection 1, expansion 2, contraction and shrink 1/2), no
+    bounds and no limit on evaluations. Every step is scipy's, in scipy's
+    order, so the results are scipy's bit for bit.
+    """
+    nfev = 0
+
+    def func(x: np.ndarray):
+        nonlocal nfev
+        nfev += 1
+        fx = f(np.copy(x))
+        # a number passes as it is; a one-element array gives its item
+        return fx if np.isscalar(fx) else np.asarray(fx).item()
+
+    N = x0.size
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    for k in range(N + 1):
+        fsim[k] = func(sim[k])
+    # argsort is not stable, so ties may move on a second sort: sort twice, as scipy does
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2 * xbar - sim[-1]
+        fxr = func(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = func(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = 1.5 * xbar - 0.5 * sim[-1]
+            fxc = func(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = 0.5 * xbar + 0.5 * sim[-1]
+            fxcc = func(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, N + 1):
+                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                fsim[j] = func(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), nfev
+
+
 def restarted_nelder_mead(
     f: Callable[[np.ndarray], float],
     x0: np.ndarray,
@@ -43,24 +122,17 @@ def restarted_nelder_mead(
     """Minimize ``f`` by Nelder-Mead, restarting at the incumbent until a
     restart improves it by no more than 1e-9. Each solve takes at most 400
     iterations per dimension. Deterministic for deterministic ``f``."""
-    # imported here so that commands which never optimize do not load scipy.optimize
-    from scipy import optimize as sciopt
-
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     best = float(f(x))
     n_eval, restarts = 1, 0
     for _ in range(max_restarts):
-        res = sciopt.minimize(
-            f, x, method="Nelder-Mead",
-            options={"xatol": xatol, "fatol": fatol, "maxiter": 400 * x.size},
-        )
-        n_eval += int(res.nfev)
+        x_new, fun, nfev = _nelder_mead(f, x, xatol, fatol, 400 * x.size)
+        n_eval += nfev
         restarts += 1
-        if res.fun < best - 1e-9:
-            x, best = np.atleast_1d(res.x), float(res.fun)
-        else:
-            if res.fun < best:
-                x, best = np.atleast_1d(res.x), float(res.fun)
+        improved = fun < best - 1e-9
+        if fun < best:
+            x, best = x_new, float(fun)
+        if not improved:
             break
     return OptimResult(x=x, fun=best, n_eval=n_eval, restarts=restarts)
 

@@ -450,13 +450,15 @@ class TestCliPipeline:
         assert "simulate" in res.stdout
 
     @staticmethod
-    def _loaded_by_cli_import(prefix: str) -> str:
+    def _loaded_after(prefix: str, statement: str = "import epipomp.cli") -> str:
+        """The modules named ``prefix...`` loaded after ``statement`` runs in a
+        fresh interpreter."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         res = subprocess.run(
             [
                 sys.executable,
                 "-c",
-                "import epipomp.cli, sys; "
+                f"{statement}; import sys; "
                 f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))",
             ],
             capture_output=True,
@@ -464,16 +466,22 @@ class TestCliPipeline:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert res.returncode == 0, res.stderr
-        return res.stdout.strip()
+        return res.stdout.strip().splitlines()[-1]
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # package modules import only numpy and scipy.special at load time;
         # scipy.stats alone would double every CLI's start-up
-        assert self._loaded_by_cli_import("scipy.stats") == "[]"
+        assert self._loaded_after("scipy.stats") == "[]"
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # only trajectory matching needs it, and imports it when it runs
-        assert self._loaded_by_cli_import("scipy.optimize") == "[]"
+        assert self._loaded_after("scipy.optimize") == "[]"
+
+    def test_fit_traj_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # the simplex is ported into epipomp.optimize, so not even a fit loads it
+        argv = ["fit-traj", "--out", str(tmp_path / "fit"), "--set", "model=model2",
+                "--set", 'fit_traj.free=["beta_w"]', "--set", "data.weeks=[0,2]"]
+        fit = f"from epipomp.cli import main; assert main({argv!r}) == 0"
+        assert self._loaded_after("scipy.optimize", fit) == "[]"
 
     def test_benchmark_tracer_instruments_the_package(self):
         # perfbench/tracer.py patches package functions by module attribute;

@@ -11,7 +11,7 @@ from epipomp.grid import weekly_grid
 from epipomp.haiti.geography import GeographyData
 from epipomp.haiti.model2 import build_model2
 from epipomp.model import compile_theta, simulate
-from epipomp.optimize import deterministic_loglik, restarted_nelder_mead, trajectory_match
+from epipomp.optimize import _nelder_mead, deterministic_loglik, restarted_nelder_mead, trajectory_match
 from epipomp.series import ObservationSeries
 from epipomp.toys import pure_death_model, sir_model
 
@@ -31,6 +31,52 @@ class TestRestartedNelderMead:
         a = restarted_nelder_mead(f, np.array([0.3]))
         b = restarted_nelder_mead(f, np.array([0.3]))
         assert a.x[0] == b.x[0] and a.fun == b.fun
+
+
+def _half_space_bowl(x):
+    # a bowl whose center lies outside the domain x0 + x1 - x2 < 1, +inf
+    # beyond it, as trajectory matching scores a candidate outside the domain
+    if x[0] + x[1] - x[2] >= 1.0:
+        return np.inf
+    return float((x[0] - 1.0) ** 2 + (x[1] - 1.0) ** 2 + 3.0 * (x[2] - 0.5) ** 2)
+
+
+ORACLE_CASES = {
+    "1-d quadratic": (lambda x: (x[0] - 3.0) ** 2, [0.0]),
+    "2-d Rosenbrock": (lambda x: (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2, [-1.2, 1.0]),
+    "3-d half-space": (_half_space_bowl, [0.0, -0.5, 0.25]),
+    # piecewise constant: ties between vertices and candidates
+    "2-d plateaus": (lambda x: float(np.floor(4.0 * ((x[0] - 1.0) ** 2 + (x[1] + 0.5) ** 2))), [3.0, 2.0]),
+    "0-d array": (lambda x: np.asarray(np.sum((x - [0.5, -2.0]) ** 2)), [2.0, 0.0]),
+}
+
+
+class TestNelderMeadOracle:
+    """The ported simplex against scipy's, bit for bit."""
+
+    @pytest.mark.parametrize("tol", [(1e-9, 1e-11, 400), (1e-7, 1e-9, 400), (1e-9, 1e-11, 7)],
+                             ids=["fit-traj", "benchmark", "iteration-limit"])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_scipy_minimize(self, case, tol):
+        from scipy import optimize  # the package never loads it
+
+        f, x0 = ORACLE_CASES[case]
+        x0 = np.array(x0)
+        xatol, fatol, per_dim = tol
+        want = optimize.minimize(
+            f, x0, method="Nelder-Mead",
+            options={"xatol": xatol, "fatol": fatol, "maxiter": per_dim * x0.size},
+        )
+        x, fun, nfev = _nelder_mead(f, x0, xatol, fatol, per_dim * x0.size)
+        assert x.tobytes() == want.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(want.fun).tobytes()
+        assert nfev == want.nfev
+
+    def test_half_space_search_meets_the_infinite_side(self):
+        seen = []
+        _nelder_mead(lambda x: seen.append(_half_space_bowl(x)) or seen[-1],
+                     np.array(ORACLE_CASES["3-d half-space"][1]), 1e-9, 1e-11, 1200)
+        assert np.inf in seen and np.isfinite(min(seen))
 
 
 class TestTrajectoryMatch:

@@ -137,32 +137,40 @@ def build_model2(
         T = geo.gravity_matrix(v_rate)
         return T, T.sum(axis=1)[None, :, None]
 
-    def step(X, t, dt, theta, covs, rng):
-        J = X.shape[0]
-
-        a_seas, phi = theta["a_seas"], theta["phi"]
-        beta_w, wsat, beta = theta["beta_w"], theta["wsat"], theta["beta"]
-        eps, eps_w = theta["epsilon"], theta["epsilon_w"]
-        mu_w, delta_w, w_r = theta["mu_w"], theta["delta_w"], theta["w_r"]
+    def prepare(theta):
+        """Everything of a step that depends on theta alone, as the tuple that
+        ``step`` unpacks."""
+        # one gravity matrix serves every particle, so v_rate cannot vary across them
+        v_rate = np.asarray(theta["v_rate"])
+        if np.any(v_rate != v_rate.flat[0]):
+            raise ValidationError("model2 takes one v_rate for every particle; a search cannot perturb it")
         # per-cohort rates: a trailing cohort axis against (J, U, 5) blocks
         f3, mu_ei3, mu_ir3, mu_rs3 = (
             np.asarray(theta[k])[..., None] for k in ("f", "mu_ei", "mu_ir", "mu_rs")
         )
-        # exit rates of S (infection, written per stage), E, I, A, R and RA
-        rates = np.empty((J, U, 6, N_COHORTS))
-        rates[:, :, 1] = mu_ei3
-        rates[:, :, 2:4] = mu_ir3[..., None, :]
-        rates[:, :, 4:] = mu_rs3[..., None, :]
+        # exit rates of E, I, A, R and RA; S's, the infection, is written per stage
+        exits = np.empty(np.broadcast_shapes(mu_ei3.shape, mu_ir3.shape, mu_rs3.shape)[:-1] + (5, N_COHORTS))
+        exits[..., 0, :] = mu_ei3
+        exits[..., 1:3, :] = mu_ir3[..., None, :]
+        exits[..., 3:, :] = mu_rs3[..., None, :]
         # E -> I and E -> A rates
         onset = np.stack((f3 * mu_ei3, (1.0 - f3) * mu_ei3), axis=-2)
         # vaccine-protection waning rates of cohorts 1..4
         om1, om2 = theta["omega1"], theta["omega2"]
         om = np.stack(np.broadcast_arrays(om1, om2, om1, om2), axis=-1)
-        # one gravity matrix serves every particle, so v_rate cannot vary across them
-        v_rate = np.asarray(theta["v_rate"])
-        if np.any(v_rate != v_rate.flat[0]):
-            raise ValidationError("model2 takes one v_rate for every particle; a search cannot perturb it")
-        T, T_out = gravity(float(v_rate.flat[0]))
+        return (
+            theta["a_seas"], theta["phi"], theta["beta_w"], theta["wsat"], theta["beta"],
+            theta["epsilon"], theta["epsilon_w"], theta["mu_w"], theta["delta_w"], theta["w_r"],
+            mu_rs3, exits, onset, om, gravity(float(v_rate.flat[0])),
+        )
+
+    def step(X, t, dt, prepared, covs, rng):
+        J = X.shape[0]
+        (a_seas, phi, beta_w, wsat, beta, eps, eps_w, mu_w, delta_w, w_r,
+         mu_rs3, exits, onset, om, (T, T_out)) = prepared
+        # exit rates of S (infection, written per stage), E, I, A, R and RA
+        rates = np.empty((J, U, 6, N_COHORTS))
+        rates[:, :, 1:] = exits
 
         def deriv(tt, Yf):
             Yv = Yf.reshape(J, U, V)
@@ -231,6 +239,7 @@ def build_model2(
         params=default_params(),
         rinit=rinit,
         step=step,
+        prepare=prepare,
         dunit_measure=dunit,
         runit_measure=runit,
         accumulators=tuple(family_key(c, u) for c in ("CI", "TI") for u in units),

@@ -41,8 +41,12 @@ class PompModel:
     Component signatures (J = particle count, S = state dim, U = unit count):
 
     - ``rinit(theta, J, rng) -> (J, S)``
-    - ``step(X, t, dt, theta, covs, rng) -> (J, S)``: one Euler substep
-      (deterministic models ignore ``rng``).
+    - ``prepare(theta) -> prepared``: the part of ``step`` that depends on
+      theta alone, done once per observation interval by :func:`advance`;
+      the identity by default.
+    - ``step(X, t, dt, prepared, covs, rng) -> (J, S)``: one Euler substep,
+      handed ``prepare(theta)`` in theta's place (deterministic models
+      ignore ``rng``).
     - ``dunit_measure(y, X, t, theta) -> (J, U)`` per-unit observation
       log-densities for one observation row ``y`` (length U).
     - ``runit_measure(X, t, theta, rng) -> (J, U)`` observation sampler.
@@ -73,6 +77,7 @@ class PompModel:
     stochastic: bool = True
     needs_covariates: bool = False
     validate_params: Callable[[ParameterSet], None] | None = None
+    prepare: Callable[[Theta], Any] = lambda theta: theta
     _position: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -164,13 +169,15 @@ def advance(
 ) -> np.ndarray:
     """One observation interval: zero the accumulators of ``X`` in place, then
     propagate the particles from t_from to t_to in equal Euler substeps, so
-    that the accumulators hold the interval's totals at t_to."""
+    that the accumulators hold the interval's totals at t_to. The model
+    prepares ``theta`` once, here, for every substep of the interval."""
     acc = model.accum_indices
     if acc.size:
         X[:, acc] = 0.0
     n, h = grid.substeps(t_from, t_to)
+    prepared = model.prepare(theta)
     for k in range(n):
-        X = model.step(X, t_from + k * h, h, theta, covs, rng)
+        X = model.step(X, t_from + k * h, h, prepared, covs, rng)
     return X
 
 

@@ -95,8 +95,8 @@ class TestGravity:
         theta = compile_theta(m, m.params)
         X = m.rinit(theta, 2, None)
         theta["v_rate"] = np.array([[1e-12], [3e-12]])
-        with pytest.raises(ValidationError, match="v_rate"):
-            m.step(X, 0.0, WEEK / 7, theta, None, None)
+        with pytest.raises(ValidationError, match="model2 takes one v_rate for every particle"):
+            m.step(X, 0.0, WEEK / 7, m.prepare(theta), None, None)
 
     @pytest.fixture(scope="class")
     def four_weeks(self):
@@ -177,7 +177,7 @@ class TestSkeletonProperties:
             return raw[-1]
 
         monkeypatch.setattr(model2, "rk4_step", recording)
-        out = m.step(X.copy(), 0.0, WEEK, theta, None, None)
+        out = m.step(X.copy(), 0.0, WEEK, m.prepare(theta), None, None)
         (raw,) = raw
         assert np.any(raw < 0.0) and np.all(out >= 0.0)
         clipped = np.where(raw < 0.0, -raw, 0.0).reshape(1, geo.n_units, -1).sum(axis=2)

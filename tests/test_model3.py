@@ -106,7 +106,7 @@ class TestRates:
         theta = compile_theta(m, m.params)
         X = m.rinit(theta, 1, make_rng(0))
         with pytest.raises(ValidationError, match="rainfall"):
-            m.step(X, 0.1, 0.001, theta, None, make_rng(0))
+            m.step(X, 0.1, 0.001, m.prepare(theta), None, make_rng(0))
 
     def test_reordered_rainfall_units_rejected(self, geo, covs):
         # a correctly labelled table in another unit order would otherwise

@@ -6,8 +6,12 @@ family rows; a parameter search gives (J, U) arrays. Whichever of these a
 model is handed, with equal values it must produce the same bits, and its
 measures must have shape (J, U). The (J, U) case also catches a one-unit
 model whose (J, 1) parameters meet (J,) state columns and broadcast to
-(J, J).
+(J, J). ``advance`` hands ``step`` what ``model.prepare`` makes of theta,
+once per observation interval, so every model is stepped through its
+``prepare`` here.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -103,6 +107,27 @@ def test_per_particle_theta_gives_the_compiled_bits(name):
     np.testing.assert_array_equal(states_w, states)
     np.testing.assert_array_equal(obs_w, obs)
     np.testing.assert_array_equal(dens_w, dens)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_advance_prepares_theta_once_per_interval(name):
+    model, grid, covs = _build(name)
+    theta = compile_theta(model, model.params)
+    prepared, handed = [], []
+
+    def prepare(th):
+        assert th is theta
+        prepared.append(model.prepare(th))
+        return prepared[-1]
+
+    def step(X, t, dt, p, covs, rng):
+        handed.append(p is prepared[-1])
+        return model.step(X, t, dt, p, covs, rng)
+
+    _run(dataclasses.replace(model, prepare=prepare, step=step), theta, grid, covs)
+    assert len(prepared) == N_WEEKS
+    assert len(handed) == sum(grid.substeps(a, b)[0] for a, b in grid.intervals())
+    assert all(handed)
 
 
 def test_metapop_units_start_from_their_own_i0_copies():

@@ -201,7 +201,7 @@ def reference_skeleton_loglik(model, params, data, grid) -> float:
         X[:, acc] = 0.0
         k, h = grid.substeps(t_prev, t_next)
         for i in range(k):
-            X = model.step(X, t_prev + i * h, h, theta, None, None)
+            X = model.step(X, t_prev + i * h, h, model.prepare(theta), None, None)
         y = data.values[:, n]
         observed = ~np.isnan(y)
         if observed.any():

@@ -81,12 +81,17 @@ def exit_probabilities(rates: np.ndarray, delta: float) -> np.ndarray:
     # min is NaN if any rate is NaN, so one comparison rejects NaN and -inf
     if rates.size and not (rates.min() >= 0.0 and rates.max() < np.inf):
         raise ValidationError("transition rates must be finite and nonnegative")
-    # left-to-right column adds: the bits of ``rates.sum(axis=-1)`` for the
-    # short destination axes the models use (numpy sums fewer than 8 terms
-    # in order), without the cost of a reduction over a short axis
-    total = rates[..., :1]
-    for k in range(1, rates.shape[-1]):
-        total = total + rates[..., k : k + 1]
+    # numpy sums fewer than 8 terms from 0.0 left to right, whatever the
+    # layout, so column adds in that order keep its bits without the cost of
+    # a reduction over a short axis; from 8 terms its order depends on the
+    # layout (pairwise along a contiguous axis), so those totals stay numpy's
+    K = rates.shape[-1]
+    if K < 8:
+        total = np.zeros(rates.shape[:-1] + (1,))
+        for k in range(K):
+            total += rates[..., k : k + 1]
+    else:
+        total = rates.sum(axis=-1, keepdims=True)
     p_exit = -np.expm1(-total * delta)
     frac = np.divide(rates, total, out=np.zeros_like(rates), where=total > 0.0)
     return p_exit * frac

@@ -165,16 +165,21 @@ def summed_exit_probabilities(rates, delta):
 
 
 class TestExitProbabilities:
-    # destination counts the models draw with: toys 1; model1 2, 3, 6, 7;
-    # model3 2, 3, 6; with the leading shapes of their counts
-    @pytest.mark.parametrize("K", [1, 2, 3, 6, 7])
+    # destination counts the models draw with: toys 1; model1 2 and 3, 6 and
+    # 7, 8 and 9, 22 and 23 (V0, V1, V2, V3/V4); model3 2, 3 and 4
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 6, 7, 8, 9, 22, 23])
     @pytest.mark.parametrize("lead", [(1000,), (200, 10), (50, 4, 5), (30, 10, 4, 5)])
     def test_probabilities_keep_the_bits_of_a_summed_total(self, K, lead):
         # compared as bits, not flows: a one-ulp move in p seldom moves a draw
         rng = np.random.Generator(np.random.Philox(K))
         rates = rng.exponential(size=lead + (K,)) * 10.0 ** rng.integers(-12, 4, size=lead + (K,))
         rates[rng.random(lead + (K,)) < 0.2] = 0.0
-        for r in (rates, rates[0], np.broadcast_to(rates[:1], rates.shape)):
+        rates[rng.random(lead + (K,)) < 0.1] = -0.0
+        rates[-1] = -0.0  # a row of negative zeros sums to +0.0
+        # contiguous, a slice, a broadcast view and destinations leading in memory
+        layouts = (rates, rates[0], np.broadcast_to(rates[:1], rates.shape),
+                   np.moveaxis(np.ascontiguousarray(np.moveaxis(rates, -1, 0)), 0, -1))
+        for r in layouts:
             got = exit_probabilities(r, 1.0 / 365.25)
             assert got.tobytes() == summed_exit_probabilities(r, 1.0 / 365.25).tobytes()
 

@@ -56,16 +56,13 @@ def _nelder_mead(
         return fx if np.isscalar(fx) else np.asarray(fx).item()
 
     N = x0.size
-    sim = np.empty((N + 1, N), dtype=x0.dtype)
-    sim[0] = x0
+    sim = np.tile(x0, (N + 1, 1))
     for k in range(N):
-        y = np.array(x0, copy=True)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
     fsim = np.full((N + 1,), np.inf, dtype=float)
     for k in range(N + 1):
         fsim[k] = func(sim[k])
-    # argsort is not stable, so ties may move on a second sort: sort twice, as scipy does
+    # sorted twice, as scipy does: argsort is not stable, so a second sort may move ties
     for _ in range(2):
         ind = np.argsort(fsim)
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)

@@ -148,11 +148,8 @@ def build_model2(
         f3, mu_ei3, mu_ir3, mu_rs3 = (
             np.asarray(theta[k])[..., None] for k in ("f", "mu_ei", "mu_ir", "mu_rs")
         )
-        # exit rates of E, I, A, R and RA; S's, the infection, is written per stage
-        exits = np.empty(np.broadcast_shapes(mu_ei3.shape, mu_ir3.shape, mu_rs3.shape)[:-1] + (5, N_COHORTS))
-        exits[..., 0, :] = mu_ei3
-        exits[..., 1:3, :] = mu_ir3[..., None, :]
-        exits[..., 3:, :] = mu_rs3[..., None, :]
+        # exit rates of E, I, A, R and RA
+        exits = np.stack(np.broadcast_arrays(mu_ei3, mu_ir3, mu_ir3, mu_rs3, mu_rs3), axis=-2)
         # E -> I and E -> A rates
         onset = np.stack((f3 * mu_ei3, (1.0 - f3) * mu_ei3), axis=-2)
         # vaccine-protection waning rates of cohorts 1..4

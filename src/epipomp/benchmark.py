@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .measures import nb_logpmf
 from .optimize import restarted_nelder_mead
 from .series import ObservationSeries
 
@@ -53,6 +52,9 @@ class BenchmarkFit:
 
 def ar_nb_loglik(y: np.ndarray, alpha: float, b: float, phi: float) -> float:
     """Conditional log-likelihood of one series under the AR-NB model."""
+    # imported here, not at load time: only a benchmark fit needs scipy.special
+    from .nbinom import nb_logpmf
+
     y = np.asarray(y, dtype=float)
     prev, curr = y[:-1], y[1:]
     valid = ~np.isnan(prev) & ~np.isnan(curr)

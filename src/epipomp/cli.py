@@ -10,6 +10,9 @@ result tables, and a machine-readable summary.json into the output directory.
 ``build_bundle`` is the one place a model is built from its data. Its
 ``Bundle`` keeps the builder, and ``forecast`` simulates the model the filter
 ran on, rebuilt by that builder with the scenario's vaccine cohorts added.
+It imports a model's module only when it builds that model, so ``scipy.special``
+(which the negative-binomial models need) is loaded while a model1, model3 or
+toy model is built, in set-up, and building model2 does not load it.
 """
 
 from __future__ import annotations
@@ -41,9 +44,6 @@ from .haiti import (
     VaccinationSchedule,
     apply_vaccination_scenario,
     builtin_scenario,
-    model1 as m1,
-    model2 as m2,
-    model3 as m3,
 )
 from .iterfilter import If2Settings, ibpf, if2
 from .mcap import mcap_ci, profile_design
@@ -51,7 +51,6 @@ from .model import PompModel, simulate
 from .optimize import trajectory_match
 from .params import ParameterSet, family_key
 from .series import CovariateTable, ObservationSeries, standardize_rainfall
-from .toys import hmm_model, lgssm_model, metapop_model, pure_death_model, sir_model
 from .units import WEEK
 
 DEFAULTS: dict = {
@@ -87,14 +86,15 @@ DEFAULTS: dict = {
 
 STOCHASTIC_COMMANDS = {"simulate", "filter", "fit-if2", "fit-ibpf", "profile", "forecast"}
 
+#: toy model id -> the builder in ``epipomp.toys`` and its keyword arguments
 TOY_MODELS = {
-    "toy:sir": lambda: sir_model(),
-    "toy:sir-det": lambda: sir_model(stochastic=False),
-    "toy:metapop": lambda: metapop_model(),
-    "toy:puredeath": lambda: pure_death_model(),
-    "toy:puredeath-det": lambda: pure_death_model(stochastic=False),
-    "toy:hmm": lambda: hmm_model(),
-    "toy:lgssm": lambda: lgssm_model(),
+    "toy:sir": ("sir_model", {}),
+    "toy:sir-det": ("sir_model", {"stochastic": False}),
+    "toy:metapop": ("metapop_model", {}),
+    "toy:puredeath": ("pure_death_model", {}),
+    "toy:puredeath-det": ("pure_death_model", {"stochastic": False}),
+    "toy:hmm": ("hmm_model", {}),
+    "toy:lgssm": ("lgssm_model", {}),
 }
 MODELS = ("model1", "model2", "model3", *TOY_MODELS)
 
@@ -361,6 +361,8 @@ def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | Non
     covs = None
 
     if model_id == "model3":
+        from .haiti import model3 as m3
+
         init_weeks = 4
         if cases.n_obs <= init_weeks:
             raise DataFormatError("model3 needs more than 4 weeks of data (4 initialize)")
@@ -377,6 +379,8 @@ def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | Non
         data = cases.subset(init_weeks, cases.n_obs)
         grid = _weekly_grid(cfg, data.n_obs, (init_weeks - 1) * WEEK)
     elif model_id == "model2":
+        from .haiti import model2 as m2
+
         init_cases = np.nan_to_num(cases.values[:, 0])
 
         def build(schedule=None):
@@ -385,6 +389,8 @@ def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | Non
         data = cases.subset(1, cases.n_obs)
         grid = _weekly_grid(cfg, data.n_obs)
     else:
+        from .haiti import model1 as m1
+
         data = cases.aggregate() if cases.n_units > 1 else cases
         grid = _weekly_grid(cfg, data.n_obs)
         # the trend is anchored on the whole series, before any weeks subset
@@ -409,7 +415,10 @@ def build_bundle(cfg: dict, need_data: bool = True, inputs: dict[str, str] | Non
 
 
 def _build_toy_bundle(cfg: dict, model_id: str, inputs: dict, need_data: bool) -> Bundle:
-    model = TOY_MODELS[model_id]()
+    from . import toys
+
+    builder, kwargs = TOY_MODELS[model_id]
+    model = getattr(toys, builder)(**kwargs)
     data = None
     if cfg["data"]["cases"]:
         data = io.load_cases(_read_input(Path(cfg["data"]["cases"]), inputs))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ValidationError
 from .filtering import sample_params_by_likelihood
@@ -25,8 +24,9 @@ from .params import ParameterSet
 from .series import CovariateTable
 
 ELIMINATION_WINDOW = 52
-#: standard normal quantile of a 95% measurement band
-BAND_Z = float(ndtri(0.975))
+#: standard normal quantile of a 95% measurement band, ``float(scipy.special.ndtri(0.975))``
+#: written out so that importing this module does not load scipy.special
+BAND_Z = 1.959963984540054
 
 
 @dataclass

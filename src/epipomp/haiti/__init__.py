@@ -1,7 +1,11 @@
 """Built-in Haiti cholera workloads: geography, vaccine efficacy, vaccination
-scenarios, and the three transmission models."""
+scenarios, and the three transmission models.
 
-from . import model1, model2, model3
+The models are submodules, ``model1``, ``model2`` and ``model3``, imported by
+name: importing this package loads none of them, so building model2 does not
+pay for the ``scipy.special`` that model1 and model3 use.
+"""
+
 from .efficacy import AGE_CORRECTION, EfficacyCurve, default_curve
 from .geography import DEPARTMENTS, GeographyData, national_population, synthetic_geography
 from .scenarios import (
@@ -25,9 +29,6 @@ __all__ = [
     "builtin_scenario",
     "default_curve",
     "empty_schedule",
-    "model1",
-    "model2",
-    "model3",
     "national_population",
     "synthetic_geography",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..euler import euler_multinomial, gamma_increment, poisson_inflow
-from ..measures import nb_logpmf, nb_sample
+from ..nbinom import nb_logpmf, nb_sample
 from ..model import PompModel
 from ..params import ParamDef, ParameterSet
 from ..splines import N_BASIS, periodic_bspline_basis

@@ -175,7 +175,10 @@ def build_model2(
             P = persons.reshape(J, U, 6, N_COHORTS)  # S, E, I, A, R, RA by cohort
             S, E = P[:, :, 0], P[:, :, 1]
             W = Yv[:, :, iW]
-            i_total, a_total = P[:, :, 2].sum(-1), P[:, :, 3].sum(-1)  # infection and shedding
+            # infection and shedding totals; np.add.reduce is ndarray.sum without
+            # numpy's Python wrapper, the same reduction to the bit
+            i_total = np.add.reduce(P[:, :, 2], axis=-1)
+            a_total = np.add.reduce(P[:, :, 3], axis=-1)
             lam = model2_force_of_infection(W, i_total, a_total, tt, a_seas, phi, beta_w, wsat, beta, eps)
             np.multiply(lam[:, :, None], susceptibility, out=rates[:, :, 0])
             outflow = rates * P
@@ -193,21 +196,21 @@ def build_model2(
             # waning of vaccine protection back to cohort 0
             wane = om * S[:, :, 1:]
             dS[:, :, 1:] -= wane
-            dS[:, :, 0] += wane.sum(-1)
+            dS[:, :, 0] += np.add.reduce(wane, axis=-1)
             # vaccination dosing out of S_u0
             if schedule.n_cohorts:
                 dosing = schedule.rates_at(tt) * WEEKS_PER_YEAR  # (U, 4) persons/yr
                 pc = dosing[None, :, :] / np.maximum(S[:, :, 0], 1.0)[:, :, None]
                 vacc = pc * S[:, :, 0][:, :, None]
-                dS[:, :, 0] -= vacc.sum(-1)
+                dS[:, :, 0] -= np.add.reduce(vacc, axis=-1)
                 dS[:, :, 1:] += vacc
             # gravity transport of every person compartment
             d[:, :, :N_PERSONS] += np.einsum("vu,jvc->juc", T, persons) - persons * T_out
             # water dynamics and transport
             shed = mu_w * (i_total + eps_w * a_total)
             d[:, :, iW] = shed - delta_w * W + w_r * (np.einsum("vu,jv->ju", TW, W) - W * TW_out)
-            d[:, :, iCI] = inflow[:, :, 2].sum(-1)
-            d[:, :, iTI] = outflow[:, :, 0].sum(-1)
+            d[:, :, iCI] = np.add.reduce(inflow[:, :, 2], axis=-1)
+            d[:, :, iTI] = np.add.reduce(outflow[:, :, 0], axis=-1)
             d[:, :, iCL] = 0.0
             return d.reshape(J, U * V)
 

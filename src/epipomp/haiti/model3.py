@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..euler import euler_multinomial, gamma_increment
-from ..measures import nb_logpmf, nb_sample
+from ..nbinom import nb_logpmf, nb_sample
 from ..model import PompModel
 from ..params import ParamDef, ParameterSet, family_key
 from ..units import DAYS_PER_YEAR, WEEK, WEEKS_PER_YEAR, per_day, per_week, weekly_variance

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import chdtri
 
 from .errors import ValidationError
 
@@ -58,6 +57,9 @@ def loess_quadratic(
 
 def mcap_cutoff(a: float, se_mc_sq: float, confidence: float) -> float:
     """Monte Carlo adjusted profile cutoff; monotone in ``se_mc_sq``."""
+    # imported here, not at load time: only an MCAP interval needs scipy.special
+    from scipy.special import chdtri
+
     if a <= 0:
         raise ValidationError("profile has no curvature at the maximum (a <= 0)")
     se_stat_sq = 1.0 / (2.0 * a)

@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .euler import euler_multinomial, gamma_increment, rk4_step
-from .measures import nb_logpmf, nb_sample, norm_logpdf
+from .measures import norm_logpdf
 from .model import PompModel
+from .nbinom import nb_logpmf, nb_sample
 from .params import ParamDef, ParameterSet, family_key
 
 

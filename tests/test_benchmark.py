@@ -5,7 +5,7 @@ import pytest
 
 from epipomp.benchmark import ar_nb_loglik, aic, fit_benchmark
 from epipomp.errors import ValidationError
-from epipomp.measures import nb_logpmf
+from epipomp.nbinom import nb_logpmf
 from epipomp.series import ObservationSeries
 
 

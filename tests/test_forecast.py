@@ -11,6 +11,7 @@ from epipomp.errors import ValidationError
 from epipomp.filtering import particle_filter
 from epipomp.grid import weekly_grid
 from epipomp.forecast import (
+    BAND_Z,
     elimination_probability,
     forecast_from_filter,
     longest_zero_run,
@@ -183,6 +184,13 @@ class TestTrajectoryProjection:
         log_mean = np.log(proj.mean_reported + 1.0)
         np.testing.assert_allclose(proj.upper, np.exp(log_mean + z * 0.3) - 1.0, rtol=1e-12)
         np.testing.assert_allclose(proj.lower, np.exp(log_mean - z * 0.3) - 1.0, rtol=1e-12)
+
+    def test_band_z_is_scipy_normal_quantile(self):
+        # BAND_Z is written out so that importing forecast does not load
+        # scipy.special; it must stay scipy's quantile to the last bit
+        from scipy.special import ndtri
+
+        assert BAND_Z == float(ndtri(0.975))
 
     def test_stochastic_model_rejected(self):
         m = sir_model(stochastic=True)

@@ -469,19 +469,42 @@ class TestCliPipeline:
         return res.stdout.strip().splitlines()[-1]
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        # package modules import only numpy and scipy.special at load time;
-        # scipy.stats alone would double every CLI's start-up
+        # package modules import only numpy at load time (scipy.special waits for
+        # a negative-binomial model's build); scipy.stats alone would double
+        # every CLI's start-up
         assert self._loaded_after("scipy.stats") == "[]"
 
     def test_import_leaves_scipy_optimize_unloaded(self):
         assert self._loaded_after("scipy.optimize") == "[]"
 
-    def test_fit_traj_leaves_scipy_optimize_unloaded(self, tmp_path):
-        # the simplex is ported into epipomp.optimize, so not even a fit loads it
+    def test_import_leaves_scipy_special_unloaded(self):
+        # scipy.special costs about 0.15 s and 20 MB of start-up
+        assert self._loaded_after("scipy.special", "import epipomp, epipomp.cli") == "[]"
+
+    @staticmethod
+    def _model2_fit_traj(tmp_path) -> str:
         argv = ["fit-traj", "--out", str(tmp_path / "fit"), "--set", "model=model2",
                 "--set", 'fit_traj.free=["beta_w"]', "--set", "data.weeks=[0,2]"]
-        fit = f"from epipomp.cli import main; assert main({argv!r}) == 0"
-        assert self._loaded_after("scipy.optimize", fit) == "[]"
+        return f"from epipomp.cli import main; assert main({argv!r}) == 0"
+
+    def test_fit_traj_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # the simplex is ported into epipomp.optimize, so not even a fit loads it
+        assert self._loaded_after("scipy.optimize", self._model2_fit_traj(tmp_path)) == "[]"
+
+    def test_model2_fit_traj_leaves_scipy_special_unloaded(self, tmp_path):
+        # model2's log-normal reporting is numpy alone
+        assert self._loaded_after("scipy.special", self._model2_fit_traj(tmp_path)) == "[]"
+
+    @pytest.mark.parametrize("model", ["model1", "model3"])
+    def test_build_bundle_loads_scipy_special(self, model):
+        # a negative-binomial model loads scipy.special when it is built, in
+        # set-up, and not inside the first week of its filter
+        build = (
+            "import copy, sys; import epipomp.cli as cli; "
+            f"cfg = copy.deepcopy(cli.DEFAULTS); cfg['model'] = {model!r}; "
+            "assert 'scipy.special' not in sys.modules; cli.build_bundle(cfg)"
+        )
+        assert "'scipy.special'" in self._loaded_after("scipy.special", build)
 
     def test_benchmark_tracer_instruments_the_package(self):
         # perfbench/tracer.py patches package functions by module attribute;

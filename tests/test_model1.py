@@ -14,8 +14,8 @@ from epipomp.haiti.model1 import (
     model1_force_of_infection,
     seasonal_beta,
 )
-from epipomp.measures import nb_logpmf
 from epipomp.model import compile_theta, make_rng, simulate
+from epipomp.nbinom import nb_logpmf
 from epipomp.units import per_day
 
 

@@ -19,8 +19,8 @@ from epipomp.haiti.model3 import (
     model3_force_of_infection,
 )
 from epipomp.haiti.scenarios import apply_vaccination_scenario, builtin_scenario
-from epipomp.measures import nb_logpmf
 from epipomp.model import compile_theta, make_rng, simulate
+from epipomp.nbinom import nb_logpmf
 from epipomp.series import CovariateTable, standardize_rainfall
 from epipomp.units import DAYS_PER_YEAR, WEEK, per_day
 
